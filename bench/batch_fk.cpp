@@ -11,13 +11,16 @@
 // picked — the `speculation_dispatched` records carry the chosen
 // backend name in their note, and the acceptance bar for the SIMD
 // backend PR is dispatched >= autovec at every dof x K (>= 1.3x at
-// 100 DOF / K = 64 on AVX2-class hardware).
+// 100 DOF / K = 64 on AVX2-class hardware).  Three sin/cos rows close
+// the table: one (sin, cos) pair per joint angle through libm, the
+// scalar kin::sinCos, and the dispatched backend's vector instance.
 //
 // Usage: batch_fk [--quick] [--json PATH] [--spec-backend NAME]
 //   --quick           fewer repetitions (CI smoke)
 //   --json P          also write results to P as BENCH_kernels.json records
 //   --spec-backend N  force the dispatched backend (like DADU_SPEC_BACKEND)
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -27,6 +30,7 @@
 #include "bench_json.hpp"
 #include "dadu/dadu.hpp"
 #include "dadu/kinematics/backends/spec_backend.hpp"
+#include "dadu/kinematics/sincos.hpp"
 
 namespace {
 
@@ -167,8 +171,48 @@ int main(int argc, char** argv) {
     std::printf("   %6.2fx\n", scalar_ns / dispatched_ns);
   }
 
+  // Joint-angle trig, ns per (sin, cos) pair over a 256-lane sweep of
+  // angles in [-pi, pi) — the per-lane trig every walk above pays.
+  constexpr std::size_t kTrigLanes = 256;
+  std::vector<double> angles(kTrigLanes), sines(kTrigLanes),
+      cosines(kTrigLanes);
+  for (std::size_t k = 0; k < kTrigLanes; ++k)
+    angles[k] = -3.14159 + 6.28318 * static_cast<double>(k) / kTrigLanes;
+  const auto per_pair = [&](auto&& sweep) {
+    return nsPerOp(
+               [&] {
+                 sweep();
+                 g_sink += sines[7] + cosines[11];
+               },
+               min_seconds) /
+           kTrigLanes;
+  };
+  const double libm_ns = per_pair([&] {
+    for (std::size_t k = 0; k < kTrigLanes; ++k) {
+      sines[k] = std::sin(angles[k]);
+      cosines[k] = std::cos(angles[k]);
+    }
+  });
+  const double kernel_ns = per_pair([&] {
+    for (std::size_t k = 0; k < kTrigLanes; ++k)
+      dadu::kin::sinCos(angles[k], sines[k], cosines[k]);
+  });
+  const dadu::kin::SpecBackend& wide = dadu::kin::dispatchedSpecBackend();
+  const double wide_ns = per_pair([&] {
+    wide.sinCos(angles.data(), sines.data(), cosines.data(), kTrigLanes);
+  });
+  records.push_back({"sincos_libm", 0, kTrigLanes, libm_ns, ""});
+  records.push_back({"sincos_scalar", 0, kTrigLanes, kernel_ns, ""});
+  records.push_back({"sincos_dispatched", 0, kTrigLanes, wide_ns,
+                     std::string("backend=") + dispatched});
+  std::printf("\nsin+cos ns per angle: libm %.2f   kin::sinCos %.2f   "
+              "%s %.2f\n",
+              libm_ns, kernel_ns, dispatched.c_str(), wide_ns);
+
   if (!json_path.empty()) {
-    if (!bench::writeKernelJson(json_path, records)) {
+    if (!bench::writeKernelJson(json_path,
+                                bench::currentRunHeader(argc, argv),
+                                records)) {
       std::cerr << "failed to write " << json_path << "\n";
       return 1;
     }

@@ -1,8 +1,16 @@
 #include "bench_json.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <thread>
+
+#include "dadu/kinematics/backends/spec_backend.hpp"
+
+#ifndef DADU_BUILD_TYPE
+#define DADU_BUILD_TYPE "unknown"
+#endif
 
 namespace bench {
 
@@ -18,13 +26,57 @@ void writeMetricRecords(std::ostream& out,
   }
 }
 
+std::string jsonEscape(const std::string& text) {
+  std::string out;
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') out += '\\';
+    out += ch;
+  }
+  return out;
+}
+
+/// HEAD of the tree the bench was built from, "-dirty" when it has
+/// uncommitted changes.
+std::string sourceCommit() {
+#ifdef DADU_SOURCE_DIR
+  const std::string cmd = "git -C \"" DADU_SOURCE_DIR
+                          "\" describe --always --dirty --abbrev=40 2>/dev/null";
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[64] = {};
+    const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+    pclose(pipe);
+    std::string sha = got ? buf : "";
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+      sha.pop_back();
+    if (!sha.empty()) return sha;
+  }
+#endif
+  return "unknown";
+}
+
 }  // namespace
 
-bool writeKernelJson(const std::string& path,
+RunHeader currentRunHeader(int argc, char** argv) {
+  RunHeader header;
+  header.nproc = std::thread::hardware_concurrency();
+  header.spec_backend = dadu::kin::activeSpecBackendName();
+  header.build_type = DADU_BUILD_TYPE;
+  header.commit = sourceCommit();
+  for (int i = 0; i < argc; ++i)
+    header.command += (i > 0 ? " " : "") + std::string(argv[i]);
+  return header;
+}
+
+bool writeKernelJson(const std::string& path, const RunHeader& header,
                      const std::vector<KernelRecord>& records) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "[\n";
+  out << "[\n  {\"header\": {\"nproc\": " << header.nproc
+      << ", \"spec_backend\": \"" << jsonEscape(header.spec_backend)
+      << "\", \"build_type\": \"" << jsonEscape(header.build_type)
+      << "\", \"commit\": \"" << jsonEscape(header.commit)
+      << "\", \"command\": \"" << jsonEscape(header.command) << "\"}}"
+      << (records.empty() ? "" : ",") << "\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];
     out << "  {\"kernel\": \"" << r.kernel << "\", \"dof\": " << r.dof

@@ -1,6 +1,7 @@
 // Machine-readable bench output: tiny writers for the BENCH_*.json
 // performance trajectory files future PRs diff against.
-//   BENCH_kernels.json — array of {"kernel", "dof", "k", "ns_per_op"}
+//   BENCH_kernels.json — a {"header": {...}} provenance record, then
+//                        {"kernel", "dof", "k", "ns_per_op"} records
 //   BENCH_service.json — array of {"metric", "value", "unit"}
 #pragma once
 
@@ -21,9 +22,23 @@ struct KernelRecord {
   std::string note;
 };
 
-/// Write `records` to `path` as pretty-printed JSON.  Returns false if
-/// the file cannot be written.
-bool writeKernelJson(const std::string& path,
+/// Where and how a set of kernel records was measured; written as the
+/// leading record of BENCH_kernels.json.
+struct RunHeader {
+  unsigned nproc = 0;        ///< hardware threads
+  std::string spec_backend;  ///< dispatched speculation backend
+  std::string build_type;    ///< CMake build type of the bench binary
+  std::string commit;        ///< git HEAD of the source tree (+"-dirty"),
+                             ///< or "unknown"
+  std::string command;       ///< the command line, space-joined
+};
+
+/// The header for this process and command line.
+RunHeader currentRunHeader(int argc, char** argv);
+
+/// Write `header` and then `records` to `path` as pretty-printed JSON.
+/// Returns false if the file cannot be written.
+bool writeKernelJson(const std::string& path, const RunHeader& header,
                      const std::vector<KernelRecord>& records);
 
 /// One named scalar (system-level benches: throughput, latency

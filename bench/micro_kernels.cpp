@@ -1,12 +1,18 @@
 // Google-benchmark microbenches of the kernels the whole system is
-// built from: 4x4 matrix multiply (the FKU operation), forward
-// kinematics, Jacobian evaluation, Jacobi SVD, and one full iteration
-// of each solver family.  These ground the platform models: the
-// measured per-kernel host throughput is the reference point for the
-// Atom/TX1 calibration constants discussed in EXPERIMENTS.md.
+// built from: 4x4 matrix multiply (the FKU operation), joint-angle
+// sin/cos, forward kinematics, Jacobian evaluation, Jacobi SVD, and one
+// full iteration of each solver family.  These ground the platform
+// models: the measured per-kernel host throughput is the reference
+// point for the Atom/TX1 calibration constants discussed in
+// EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "dadu/dadu.hpp"
+#include "dadu/kinematics/backends/spec_backend.hpp"
+#include "dadu/kinematics/sincos.hpp"
 
 namespace {
 
@@ -162,6 +168,50 @@ void BM_CordicSinCos(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CordicSinCos)->Arg(16)->Arg(24);
+
+// Joint-angle sin+cos over a 256-lane sweep in [-pi, pi): libm, the
+// scalar kin::sinCos, and the dispatched speculation backend's vector
+// instance (items = angles).
+template <typename Sweep>
+void sinCosSweep(benchmark::State& state, Sweep&& sweep) {
+  constexpr std::size_t kLanes = 256;
+  std::vector<double> x(kLanes), s(kLanes), c(kLanes);
+  for (std::size_t k = 0; k < kLanes; ++k)
+    x[k] = -3.14159 + 6.28318 * static_cast<double>(k) / kLanes;
+  for (auto _ : state) {
+    sweep(x.data(), s.data(), c.data(), kLanes);
+    benchmark::DoNotOptimize(s.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kLanes));
+}
+
+void BM_SinCosLibm(benchmark::State& state) {
+  sinCosSweep(state, [](const double* x, double* s, double* c, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      s[k] = std::sin(x[k]);
+      c[k] = std::cos(x[k]);
+    }
+  });
+}
+BENCHMARK(BM_SinCosLibm);
+
+void BM_SinCosScalarKernel(benchmark::State& state) {
+  sinCosSweep(state, [](const double* x, double* s, double* c, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) dadu::kin::sinCos(x[k], s[k], c[k]);
+  });
+}
+BENCHMARK(BM_SinCosScalarKernel);
+
+void BM_SinCosDispatched(benchmark::State& state) {
+  const dadu::kin::SpecBackend& backend = dadu::kin::dispatchedSpecBackend();
+  state.SetLabel(backend.name());
+  sinCosSweep(state, [&](const double* x, double* s, double* c, std::size_t n) {
+    backend.sinCos(x, s, c, n);
+  });
+}
+BENCHMARK(BM_SinCosDispatched);
 
 void BM_ForwardKinematicsF32(benchmark::State& state) {
   const auto chain =

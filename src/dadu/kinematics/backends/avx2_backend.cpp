@@ -18,13 +18,14 @@
 namespace dadu::kin {
 namespace {
 
-/// 4-lane f64 vector ops for walk_wide.hpp.  Unaligned loads/stores by
-/// design: lane ranges start at arbitrary offsets (group boundaries,
-/// pool chunks) and penalty-free unaligned access is exactly what the
-/// padded, 32-byte-aligned rows buy.
+/// 4-lane f64 vector ops for walk_wide.hpp and the sin/cos kernel.
+/// Unaligned loads/stores by design: lane ranges start at arbitrary
+/// offsets (group boundaries, pool chunks) and penalty-free unaligned
+/// access is exactly what the padded, 32-byte-aligned rows buy.
 struct V4 {
   static constexpr std::size_t width = 4;
   using reg = __m256d;
+  using mask = __m256d;  ///< all-ones / all-zeros per lane
   static reg load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, reg v) { _mm256_storeu_pd(p, v); }
   static reg set1(double v) { return _mm256_set1_pd(v); }
@@ -32,20 +33,30 @@ struct V4 {
   static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
   static reg sqrt(reg a) { return _mm256_sqrt_pd(a); }
-  static reg neg(reg a) {
-    return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));  // exact sign flip
+  static reg fromBits(std::uint64_t b) {
+    return _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(b)));
   }
-  /// q < lim ? lim : q — ordered compare, so NaN lanes keep q exactly
-  /// like the scalar if-chain.
-  static reg clampBelow(reg q, reg lim) {
-    const reg m = _mm256_cmp_pd(q, lim, _CMP_LT_OQ);
-    return _mm256_blendv_pd(q, lim, m);
+  static reg andBits(reg a, reg b) { return _mm256_and_pd(a, b); }
+  static reg xorBits(reg a, reg b) { return _mm256_xor_pd(a, b); }
+  static reg addBits(reg a, reg b) {
+    return _mm256_castsi256_pd(
+        _mm256_add_epi64(_mm256_castpd_si256(a), _mm256_castpd_si256(b)));
   }
-  /// q > lim ? lim : q.
-  static reg clampAbove(reg q, reg lim) {
-    const reg m = _mm256_cmp_pd(q, lim, _CMP_GT_OQ);
-    return _mm256_blendv_pd(q, lim, m);
+  template <int N>
+  static reg shiftLeft(reg a) {
+    return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(a), N));
   }
+  /// Ordered a < b: false on NaN lanes.
+  static mask less(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static mask hasBits(reg a, reg b) {
+    const __m256i bb = _mm256_castpd_si256(b);
+    return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_castpd_si256(a), bb), bb));
+  }
+  static reg select(mask m, reg yes, reg no) {
+    return _mm256_blendv_pd(no, yes, m);
+  }
+  static bool all(mask m) { return _mm256_movemask_pd(m) == 0xF; }
 };
 
 class Avx2SpecBackend final : public SpecBackend {
@@ -73,6 +84,12 @@ class Avx2SpecBackend final : public SpecBackend {
   void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
                     std::size_t lo, std::size_t hi) const override {
     detail::reduceErrorsWide<V4>(*ws.acc, ws.errors, target, lo, hi);
+  }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    // -0.0 + x == x for every double x (+0.0 would turn -0.0 into +0.0).
+    detail::jointSinCosWide<V4>(-0.0, x, c, s, 0, n);
   }
 };
 

@@ -17,10 +17,13 @@
 namespace dadu::kin {
 namespace {
 
-/// 8-lane f64 vector ops for walk_wide.hpp.
+/// 8-lane f64 vector ops for walk_wide.hpp and the sin/cos kernel.
+/// Bit ops go through the integer domain: the _pd forms need AVX512DQ
+/// and this TU only assumes AVX512F.
 struct V8 {
   static constexpr std::size_t width = 8;
   using reg = __m512d;
+  using mask = __mmask8;
   static reg load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, reg v) { _mm512_storeu_pd(p, v); }
   static reg set1(double v) { return _mm512_set1_pd(v); }
@@ -28,24 +31,39 @@ struct V8 {
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
   static reg sqrt(reg a) { return _mm512_sqrt_pd(a); }
-  static reg neg(reg a) {
-    // Exact sign flip via integer xor (_mm512_xor_pd needs AVX512DQ;
-    // this TU only assumes AVX512F).
-    const __m512i sign = _mm512_set1_epi64(0x8000000000000000LL);
+  static reg fromBits(std::uint64_t b) {
+    return _mm512_castsi512_pd(_mm512_set1_epi64(static_cast<long long>(b)));
+  }
+  static reg andBits(reg a, reg b) {
     return _mm512_castsi512_pd(
-        _mm512_xor_si512(_mm512_castpd_si512(a), sign));
+        _mm512_and_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
-  /// q < lim ? lim : q — ordered compare; NaN lanes keep q, matching
-  /// the scalar if-chain.
-  static reg clampBelow(reg q, reg lim) {
-    const __mmask8 m = _mm512_cmp_pd_mask(q, lim, _CMP_LT_OQ);
-    return _mm512_mask_blend_pd(m, q, lim);
+  static reg xorBits(reg a, reg b) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
-  /// q > lim ? lim : q.
-  static reg clampAbove(reg q, reg lim) {
-    const __mmask8 m = _mm512_cmp_pd_mask(q, lim, _CMP_GT_OQ);
-    return _mm512_mask_blend_pd(m, q, lim);
+  static reg addBits(reg a, reg b) {
+    return _mm512_castsi512_pd(
+        _mm512_add_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
+  template <int N>
+  static reg shiftLeft(reg a) {
+    // All-lanes masked form with an explicit source: the unmasked one
+    // trips GCC 12's -Wmaybe-uninitialized inside avx512fintrin.h.
+    const __m512i v = _mm512_castpd_si512(a);
+    return _mm512_castsi512_pd(_mm512_mask_slli_epi64(v, 0xFF, v, N));
+  }
+  /// Ordered a < b: false on NaN lanes.
+  static mask less(reg a, reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static mask hasBits(reg a, reg b) {
+    const __m512i bb = _mm512_castpd_si512(b);
+    return _mm512_cmpeq_epi64_mask(
+        _mm512_and_si512(_mm512_castpd_si512(a), bb), bb);
+  }
+  static reg select(mask m, reg yes, reg no) {
+    return _mm512_mask_blend_pd(m, no, yes);
+  }
+  static bool all(mask m) { return m == 0xFF; }
 };
 
 class Avx512SpecBackend final : public SpecBackend {
@@ -73,6 +91,12 @@ class Avx512SpecBackend final : public SpecBackend {
   void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
                     std::size_t lo, std::size_t hi) const override {
     detail::reduceErrorsWide<V8>(*ws.acc, ws.errors, target, lo, hi);
+  }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    // -0.0 + x == x for every double x (+0.0 would turn -0.0 into +0.0).
+    detail::jointSinCosWide<V8>(-0.0, x, c, s, 0, n);
   }
 };
 

@@ -37,6 +37,11 @@ class ScalarSpecBackend final : public SpecBackend {
                     std::size_t lo, std::size_t hi) const override {
     detail::reduceErrors<double>(*ws.acc, ws.errors, target, lo, hi);
   }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    for (std::size_t k = 0; k < n; ++k) kin::sinCos(x[k], s[k], c[k]);
+  }
 };
 
 }  // namespace

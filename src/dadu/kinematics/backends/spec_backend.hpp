@@ -14,12 +14,14 @@
 //
 // Parity contract: a backend's results must match the scalar reference
 // within caps().max_ulp_error ULPs per double.  The current wide
-// kernels replicate the scalar operation order exactly — scalar libm
-// sin/cos, mul/add without FMA contraction, IEEE vector sqrt — so
-// their documented bound is 0: bit-identical.  A future backend that
-// fuses multiplies or vectorizes the trig may advertise a nonzero
-// bound; the parity suite reads the bound off the caps and enforces
-// it at every tested DOF x K point.
+// kernels replicate the scalar operation order exactly — sin/cos
+// through the vector instance of the repo-owned kin::sinCos kernel
+// (same IEEE operations as the scalar instance the reference walk and
+// scalar FK use), mul/add without FMA contraction, IEEE vector sqrt —
+// so their documented bound is 0: bit-identical.  A future backend
+// that fuses multiplies or uses a different trig may advertise a
+// nonzero bound; the parity suite reads the bound off the caps and
+// enforces it at every tested DOF x K point.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -104,6 +106,13 @@ class SpecBackend {
   virtual void reduceErrors(const SpecLaneBlock& ws,
                             const linalg::Vec3& target, std::size_t lo,
                             std::size_t hi) const = 0;
+
+  /// s[k] = sin(x[k]), c[k] = cos(x[k]) for k < n through this
+  /// backend's instance of kin::sinCos (bit-identical to the scalar
+  /// kin::sinCos) — the trig of walkLanes, exposed for parity tests
+  /// and kernel benches.
+  virtual void sinCos(const double* x, double* s, double* c,
+                      std::size_t n) const = 0;
 };
 
 /// The scalar/autovec reference backend (always available).

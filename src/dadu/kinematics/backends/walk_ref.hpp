@@ -3,17 +3,21 @@
 //
 // These templates are the original autovectorizable SoA kernel: batch
 // index innermost, unit-stride lane loops, strict IEEE arithmetic in
-// scalar program order (no reassociation, no FMA — translation units
-// including this header compile with -ffp-contract=off so results are
-// identical whatever ISA the compiler autovectorizes them to).  Every
+// scalar program order (no reassociation, no FMA — the project
+// compiles with -ffp-contract=off so results are identical whatever
+// ISA the compiler autovectorizes them to).  f64 joint trig goes
+// through the scalar instance of kin::sinCos, the kernel the wide
+// backends run vectorized; the f32 datapath keeps float libm.  Every
 // other backend is measured, and ULP-bounded, against this code.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "dadu/kinematics/chain.hpp"
+#include "dadu/kinematics/sincos.hpp"
 #include "dadu/linalg/mat34_batch.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
@@ -107,8 +111,12 @@ void walkLanes(const Chain& chain, linalg::Mat34BatchT<T>& acc, T* ct, T* st,
       const T t0 = static_cast<T>(p.theta);
       for (std::size_t k = lo; k < hi; ++k) {
         const T qk = t0 + static_cast<T>(q[k]);
-        ct[k] = std::cos(qk);
-        st[k] = std::sin(qk);
+        if constexpr (std::is_same_v<T, double>) {
+          sinCos(qk, st[k], ct[k]);
+        } else {
+          ct[k] = std::cos(qk);
+          st[k] = std::sin(qk);
+        }
       }
       advanceJoint<T, false>(acc, ct, st, ca, sa, a_len, d_fix, q, lo, hi);
     } else {

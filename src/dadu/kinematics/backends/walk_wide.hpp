@@ -2,32 +2,63 @@
 //
 // One kernel body serves every wide ISA: the backend translation unit
 // defines a vector wrapper V (width, load/store, broadcast, mul/add/
-// sub/neg, IEEE sqrt, ordered-compare blends) with its own -m flags,
-// instantiates these templates, and gets a kernel whose *operation
-// order is exactly the scalar reference* — each lane performs the same
-// IEEE doubles in the same sequence, just `V::width` lanes per
-// instruction.  Multiplies and adds stay separate (no FMA contraction;
-// the TU compiles with -ffp-contract=off as a belt-and-braces), sin and
-// cos go through scalar libm into the ct/st scratch exactly as the
-// reference does, and vector sqrt is correctly rounded — so the wide
-// backends are bit-identical to the scalar walk, which is the
-// max_ulp_error = 0 parity bound their caps advertise.
+// sub, IEEE sqrt, the bit/compare/select ops of the sin/cos kernel)
+// with its own -m flags, instantiates these templates, and gets a
+// kernel whose *operation order is exactly the scalar reference* —
+// each lane performs the same IEEE doubles in the same sequence, just
+// `V::width` lanes per instruction.  Multiplies and adds stay separate
+// (the project compiles with -ffp-contract=off), sin and cos go
+// through the vector instance of kin::sinCos — the same operations the
+// scalar reference runs through the scalar instance — and vector sqrt
+// is correctly rounded, so the wide backends are bit-identical to the
+// scalar walk, which is the max_ulp_error = 0 parity bound their caps
+// advertise.
 //
 // Lane ranges need not be multiples of V::width: the vectorized middle
 // covers [lo, lo + floor((hi-lo)/width)*width) and the ragged tail
-// falls through to the reference templates in walk_ref.hpp.
+// falls through to the reference templates in walk_ref.hpp (and to
+// the scalar kin::sinCos).
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "dadu/kinematics/backends/walk_ref.hpp"
 #include "dadu/kinematics/chain.hpp"
+#include "dadu/kinematics/sincos.hpp"
 #include "dadu/linalg/mat34_batch.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
 namespace dadu::kin::detail {
+
+// Exact sign flip (the scalar unary minus).
+template <typename V>
+typename V::reg neg(typename V::reg a) {
+  return V::xorBits(a, V::fromBits(0x8000000000000000ULL));
+}
+
+// ct[k] = cos(t0 + q[k]), st[k] = sin(t0 + q[k]) for k in [lo, hi):
+// the vector kernel on whole blocks; the scalar instance on the ragged
+// tail and on any block holding a lane the kernel hands back to libm
+// (non-finite or out of range) — bit-identical either way.
+template <typename V>
+void jointSinCosWide(double t0, const double* q, double* ct, double* st,
+                     std::size_t lo, std::size_t hi) {
+  const auto t0_v = V::set1(t0);
+  std::size_t k = lo;
+  for (; k + V::width <= hi; k += V::width) {
+    typename V::reg s, c;
+    if (V::all(sinCosKernel<V>(V::add(t0_v, V::load(q + k)), s, c)))
+        [[likely]] {
+      V::store(st + k, s);
+      V::store(ct + k, c);
+    } else {
+      for (std::size_t j = k; j < k + V::width; ++j)
+        sinCos(t0 + q[j], st[j], ct[j]);
+    }
+  }
+  for (; k < hi; ++k) sinCos(t0 + q[k], st[k], ct[k]);
+}
 
 // The per-joint transform compose, V::width lanes per step.  Mirrors
 // advanceJoint<double, kPrismatic> statement for statement.
@@ -51,10 +82,10 @@ void advanceJointWide(linalg::Mat34Batch& acc, const double* ct,
     const auto s = V::load(st + k);
     // Column entries of {i-1}T_i: b01 = -s*ca, b11 = c*ca, b02 = s*sa,
     // b12 = -c*sa, b03 = a_len*c, b13 = a_len*s — scalar order kept.
-    const auto b01 = V::mul(V::neg(s), ca_v);
+    const auto b01 = V::mul(neg<V>(s), ca_v);
     const auto b11 = V::mul(c, ca_v);
     const auto b02 = V::mul(s, sa_v);
-    const auto b12 = V::mul(V::neg(c), sa_v);
+    const auto b12 = V::mul(neg<V>(c), sa_v);
     const auto b03 = V::mul(al_v, c);
     const auto b13 = V::mul(al_v, s);
     const auto dl = kPrismatic ? V::add(df_v, V::load(q + k)) : df_v;
@@ -85,8 +116,7 @@ void advanceJointWide(linalg::Mat34Batch& acc, const double* ct,
 }
 
 // One full wide chain walk over lanes [lo, hi): vectorized candidate
-// formation and clamp, scalar libm trig (identical values to the
-// reference), wide per-joint advance.
+// formation and clamp, vector sin/cos, wide per-joint advance.
 template <typename V>
 void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
                    double* st, double* cand, std::size_t stride,
@@ -119,8 +149,8 @@ void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
       std::size_t k = lo;
       for (; k < main_end; k += V::width) {
         auto v = V::load(q + k);
-        v = V::clampBelow(v, lo_v);  // q < qmin ? qmin : q
-        v = V::clampAbove(v, hi_v);  // q > qmax ? qmax : q
+        v = V::select(V::less(v, lo_v), lo_v, v);  // q < qmin ? qmin : q
+        v = V::select(V::less(hi_v, v), hi_v, v);  // q > qmax ? qmax : q
         V::store(q + k, v);
       }
       for (; k < hi; ++k) {
@@ -132,12 +162,7 @@ void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
     const double ca = trig[4 * i + 0];
     const double sa = trig[4 * i + 1];
     if (joint.type == JointType::kRevolute) {
-      const double t0 = p.theta;
-      for (std::size_t k = lo; k < hi; ++k) {
-        const double qk = t0 + q[k];
-        ct[k] = std::cos(qk);
-        st[k] = std::sin(qk);
-      }
+      jointSinCosWide<V>(p.theta, q, ct, st, lo, hi);
       advanceJointWide<V, false>(acc, ct, st, ca, sa, p.a, p.d, q, lo, hi);
     } else {
       const double c0 = trig[4 * i + 2];

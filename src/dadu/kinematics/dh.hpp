@@ -12,6 +12,7 @@
 
 #include <cmath>
 
+#include "dadu/kinematics/sincos.hpp"
 #include "dadu/linalg/mat4.hpp"
 
 namespace dadu::kin {
@@ -28,9 +29,13 @@ struct DhParam {
 /// theta offset).  Written out in closed form — this is the matrix the
 /// accelerator's "Compute {i-1}T_i" pipeline stage produces, and the
 /// FLOP counts in the cycle model (4 trig + 16 mul + 8 add) match it.
+/// The joint-variable trig goes through kin::sinCos, the kernel every
+/// SpecBackend's speculative walk runs, so scalar FK and the batched
+/// walk agree bit-for-bit; the constant link-twist trig stays on libm
+/// like the walk's precomputed per-joint table.
 inline linalg::Mat4 dhTransformRevolute(const DhParam& p, double q) {
-  const double ct = std::cos(p.theta + q);
-  const double st = std::sin(p.theta + q);
+  double st, ct;
+  sinCos(p.theta + q, st, ct);
   const double ca = std::cos(p.alpha);
   const double sa = std::sin(p.alpha);
   linalg::Mat4 t;

@@ -4,9 +4,10 @@
 // candidates theta + alpha_k * dtheta_base, one FK pass each.  The
 // scalar path walks the chain once *per candidate*; this kernel walks
 // it once *total*: at each joint it forms the K candidate joint values,
-// takes their K sin/cos, and advances K accumulator transforms held in
-// structure-of-arrays layout (linalg::Mat34Batch, batch index
-// innermost).  Besides turning the 4x4 chain product into unit-stride
+// takes their K sin/cos (kin::sinCos, vectorized on the wide backends
+// and bit-identical to scalar FK's), and advances K accumulator
+// transforms held in structure-of-arrays layout (linalg::Mat34Batch,
+// batch index innermost).  Besides turning the 4x4 chain product into unit-stride
 // lane arithmetic the compiler can vectorize, hoisting the chain walk
 // shares everything that is per-joint rather than per-candidate:
 // cos/sin of the fixed link twist alpha happen once per joint instead

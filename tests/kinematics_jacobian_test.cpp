@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/jacobian.hpp"
@@ -43,6 +44,13 @@ struct JacobianCase {
   const char* family;
   std::size_t dof;
 };
+
+// Without a printer gtest dumps the raw bytes of the case, including the
+// address held in `family`, and that address lands in the discovered
+// ctest names.  Print the robot-spec form instead so names are stable.
+void PrintTo(const JacobianCase& c, std::ostream* os) {
+  *os << c.family << ':' << c.dof;
+}
 
 class JacobianVsFiniteDifference
     : public ::testing::TestWithParam<JacobianCase> {
