@@ -11,17 +11,13 @@
 //
 // Usage: net_throughput [--quick] [--connections C] [--requests N]
 //                       [--window W] [--workers K] [--dof D]
-//                       [--max-batch M] [--batch-wait-us U]
-//                       [--spec-mix S] [--require-batched] [--json PATH]
+//                       [--spec-mix S] [--json PATH]
 //   --quick            small workload for CI smoke runs
 //   --requests         total requests across all connections
-//   --max-batch M      queue-drain burst bound (1 = per-request dispatch)
-//   --batch-wait-us U  coalescing linger for under-filled bursts
 //   --spec-mix S       host S robot specs (same DOF) behind one server;
 //                      connection c drives spec c % S, so every spec
 //                      sees equal offered load and the report breaks
 //                      req/s out per spec (1 = classic single-spec)
-//   --require-batched  exit nonzero unless batch occupancy > 1 (CI smoke)
 //   --json P           write BENCH_net.json metric records to P
 //   --json-append P    like --json but appends to an existing metrics
 //                      file, so multiple legs share one BENCH_net.json
@@ -46,10 +42,7 @@ struct Options {
   std::size_t window = 8;  ///< pipelined requests in flight per connection
   std::size_t workers = 0;
   std::size_t dof = 12;
-  std::size_t max_batch = 16;
-  std::uint32_t batch_wait_us = 100;
   std::size_t spec_mix = 1;
-  bool require_batched = false;
   std::string json_path;
   bool json_append = false;  ///< splice records into an existing file
 };
@@ -139,14 +132,8 @@ int main(int argc, char** argv) {
       opt.workers = std::stoul(next());
     } else if (arg == "--dof") {
       opt.dof = std::stoul(next());
-    } else if (arg == "--max-batch") {
-      opt.max_batch = std::stoul(next());
-    } else if (arg == "--batch-wait-us") {
-      opt.batch_wait_us = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--spec-mix") {
       opt.spec_mix = std::max<std::size_t>(std::stoul(next()), 1);
-    } else if (arg == "--require-batched") {
-      opt.require_batched = true;
     } else if (arg == "--json") {
       opt.json_path = next();
     } else if (arg == "--json-append") {
@@ -167,8 +154,6 @@ int main(int argc, char** argv) {
   service_config.workers = opt.workers;
   service_config.queue_capacity = 4096;
   service_config.enable_seed_cache = true;
-  service_config.max_batch = opt.max_batch;
-  service_config.batch_wait_us = opt.batch_wait_us;
 
   // Every spec solves the same-DOF serpentine so per-spec offered load
   // and solve cost are equal — the multi-spec numbers are directly
@@ -194,8 +179,7 @@ int main(int argc, char** argv) {
   std::cout << "net_throughput: " << opt.connections << " connections, "
             << opt.requests << " requests, window " << opt.window << ", "
             << router.totalWorkers() << " workers, serpentine:" << opt.dof
-            << ", " << opt.spec_mix << " spec(s), max batch " << opt.max_batch
-            << " (wait " << opt.batch_wait_us << " us, port " << server.port()
+            << ", " << opt.spec_mix << " spec(s) (port " << server.port()
             << ")\n";
 
   const std::size_t per_conn =
@@ -255,10 +239,6 @@ int main(int argc, char** argv) {
             << "service:        " << svc_stats.solved << " solved, "
             << svc_stats.rejected_queue_full << " queue-full, cache hit rate "
             << svc_stats.cacheHitRate() << '\n'
-            << "batching:       " << svc_stats.meanBatchOccupancy()
-            << " mean occupancy, " << svc_stats.batch_occupancy_hist.p50()
-            << " / " << svc_stats.batch_occupancy_hist.p99() << " p50/p99 ("
-            << svc_stats.batches << " bursts)\n"
             << "offered vs achieved: closed loop, "
             << opt.connections * opt.window << " requests in flight ("
             << opt.connections << " conns x window " << opt.window
@@ -270,8 +250,7 @@ int main(int argc, char** argv) {
       std::cout << "spec " << lane.spec->id << " (" << lane.spec->name
                 << "):  " << replies / (wall_ms / 1000.0) << " req/s, "
                 << lane.stats.submitted << " submitted, " << lane.stats.solved
-                << " solved, mean batch " << lane.stats.meanBatchOccupancy()
-                << ", cache hit rate " << lane.stats.cacheHitRate() << '\n';
+                << " solved, cache hit rate " << lane.stats.cacheHitRate() << '\n';
     }
   }
 
@@ -280,16 +259,6 @@ int main(int argc, char** argv) {
     std::cerr << "reply accounting mismatch\n";
     return 1;
   }
-  if (opt.require_batched) {
-    const double occupancy = svc_stats.meanBatchOccupancy();
-    if (!(occupancy > 1.0)) {
-      std::cerr << "require-batched: mean batch occupancy " << occupancy
-                << " is not > 1 — coalescing did not engage\n";
-      return 1;
-    }
-    std::cout << "require-batched: OK (mean occupancy " << occupancy << ")\n";
-  }
-
   if (!opt.json_path.empty()) {
     const std::vector<bench::MetricRecord> records = {
         {"net_requests_per_sec", rps, "req/s"},
@@ -302,13 +271,6 @@ int main(int argc, char** argv) {
         {"net_malformed_frames",
          static_cast<double>(net_stats.malformed_frames), "count"},
         {"net_connections", static_cast<double>(opt.connections), "count"},
-        {"net_max_batch", static_cast<double>(opt.max_batch), "count"},
-        {"net_batch_mean_occupancy", svc_stats.meanBatchOccupancy(),
-         "requests"},
-        {"net_batch_occupancy_p50", svc_stats.batch_occupancy_hist.p50(),
-         "requests"},
-        {"net_batch_occupancy_p99", svc_stats.batch_occupancy_hist.p99(),
-         "requests"},
         {"net_service_queue_p50_ms", svc_stats.queue_hist.p50(), "ms"},
         {"net_service_queue_p99_ms", svc_stats.queue_hist.p99(), "ms"},
     };

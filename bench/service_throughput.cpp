@@ -1,6 +1,5 @@
 // Serving-layer throughput benchmark: an open-loop arrival workload
-// against a live IkService, with the warm-start seed cache on vs off
-// and batched dispatch vs per-request dispatch.
+// against a live IkService, with the warm-start seed cache on vs off.
 //
 // Measurements on the same clustered-target workload (the traffic
 // shape real IK services see — pick points, shelves, tool poses — and
@@ -8,23 +7,18 @@
 //
 //   1. baseline: dadu::solveBatchParallel on the identical tasks (the
 //      pre-service dispatch path; the service must sustain >= this),
-//   2. burst runs, cache off/on x unbatched/batched: all requests
-//      submitted at once, measuring sustained drain throughput.  The
-//      batched rows are the service default (--max-batch 16); the
-//      unbatched rows keep the one-pop-one-solve path honest,
+//   2. burst runs, cache off/on: all requests submitted at once,
+//      measuring sustained drain throughput,
 //   3. offered-vs-achieved runs: arrivals paced at the PR 4 wire-level
 //      offered load (BENCH_net.json net_requests_per_sec, ~3.2k req/s)
 //      against the PR 4 workload shape (12-DOF serpentine).  Queueing
 //      collapse is visible as achieved << offered and a runaway queue
-//      p50; a healthy batched service tracks the offered rate with a
+//      p50; a healthy service tracks the offered rate with a
 //      single-digit-ms queue wait.
 //
 // Usage: service_throughput [--quick] [--requests N] [--workers W]
-//                           [--clusters C] [--max-batch M]
-//                           [--batch-wait-us U] [--rate R]
-//                           [--require-batched] [--json PATH]
+//                           [--clusters C] [--rate R] [--json PATH]
 //   --rate R           offered load (req/s) for the paced runs
-//   --require-batched  exit nonzero unless batch occupancy > 1 (CI smoke)
 //   --json P           write the results to P as BENCH_service.json records
 #include <algorithm>
 #include <chrono>
@@ -43,8 +37,6 @@ namespace {
 struct RunConfig {
   std::size_t workers = 0;
   bool cache_on = false;
-  std::size_t max_batch = 1;  ///< 1 = per-request dispatch
-  std::uint32_t batch_wait_us = 0;
   double rate = 0.0;  ///< offered arrivals/s; 0 = all at once
 };
 
@@ -72,8 +64,6 @@ RunResult runService(const dadu::kin::Chain& chain,
   config.workers = run_config.workers;
   config.queue_capacity = tasks.size();
   config.enable_seed_cache = run_config.cache_on;
-  config.max_batch = run_config.max_batch;
-  config.batch_wait_us = run_config.batch_wait_us;
 
   dadu::ik::SolveOptions options;  // paper defaults
   service::IkService svc(
@@ -130,40 +120,30 @@ RunResult runService(const dadu::kin::Chain& chain,
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool require_batched = false;
   int requests = 2000;
   int clusters = 32;
   std::size_t workers = 0;
-  std::size_t max_batch = 16;
-  std::uint32_t batch_wait_us = 100;
   // Default offered load: the committed PR 4 wire-level throughput
   // (BENCH_net.json net_requests_per_sec) — the arrival rate the
-  // batched service must absorb with a single-digit queue p50.
+  // service must absorb with a single-digit queue p50.
   double rate = 3238.0;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--require-batched") == 0) {
-      require_batched = true;
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       requests = std::stoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
       clusters = std::stoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       workers = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-batch") == 0 && i + 1 < argc) {
-      max_batch = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--batch-wait-us") == 0 && i + 1 < argc) {
-      batch_wait_us = static_cast<std::uint32_t>(std::stoul(argv[++i]));
     } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
       rate = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::cerr << "usage: service_throughput [--quick] [--requests N]\n"
-                   "       [--clusters C] [--workers W] [--max-batch M]\n"
-                   "       [--batch-wait-us U] [--rate R] [--require-batched]\n"
+                   "       [--clusters C] [--workers W] [--rate R]\n"
                    "       [--json PATH]\n";
       return 1;
     }
@@ -185,22 +165,18 @@ int main(int argc, char** argv) {
       },
       tasks, workers);
 
-  // 2. Burst drain throughput: cache off/on x per-request/batched.
-  const auto burst = [&](bool cache_on, bool batched) {
+  // 2. Burst drain throughput: cache off/on.
+  const auto burst = [&](bool cache_on) {
     RunConfig cfg;
     cfg.workers = workers;
     cfg.cache_on = cache_on;
-    cfg.max_batch = batched ? max_batch : 1;
-    cfg.batch_wait_us = batched ? batch_wait_us : 0;
     return runService(chain, tasks, cfg);
   };
-  const RunResult off_unbatched = burst(false, false);
-  const RunResult off = burst(false, true);
-  const RunResult on_unbatched = burst(true, false);
-  const RunResult on = burst(true, true);
+  const RunResult off = burst(false);
+  const RunResult on = burst(true);
 
   // 3. Offered-vs-achieved at the PR 4 offered load and workload shape
-  //    (12-DOF serpentine, paced arrivals), batched dispatch.
+  //    (12-DOF serpentine, paced arrivals).
   const auto chain12 = dadu::kin::makeSerpentine(12);
   const auto tasks12 =
       dadu::workload::generateClusteredTasks(chain12, requests, clusters);
@@ -208,8 +184,6 @@ int main(int argc, char** argv) {
     RunConfig cfg;
     cfg.workers = workers;
     cfg.cache_on = cache_on;
-    cfg.max_batch = max_batch;
-    cfg.batch_wait_us = batch_wait_us;
     cfg.rate = rate;
     return runService(chain12, tasks12, cfg);
   };
@@ -217,8 +191,7 @@ int main(int argc, char** argv) {
   const RunResult paced_on = paced(true);
 
   std::cout << "Serving-layer throughput — " << requests << " requests, "
-            << clusters << " clusters, 24-DOF serpentine, max batch "
-            << max_batch << " (wait " << batch_wait_us << " us)\n\n";
+            << clusters << " clusters, 24-DOF serpentine\n\n";
   std::cout << "config                     solves/s   p50 ms   p99 ms   "
                "mean iters   hit rate\n";
   std::cout << "batch baseline             " << baseline.solves_per_second
@@ -228,56 +201,28 @@ int main(int argc, char** argv) {
               << "   " << r.p99_ms << "   " << r.mean_iterations << "   "
               << r.hit_rate << "\n";
   };
-  row("service (cache off, 1x) ", off_unbatched);
   row("service (cache off)     ", off);
-  row("service (cache on, 1x)  ", on_unbatched);
   row("service (cache on)      ", on);
   std::cout << "\ncache speedup: " << (on.solves_per_sec / off.solves_per_sec)
             << "x throughput, " << (off.mean_iterations / on.mean_iterations)
             << "x fewer iterations\n";
-  std::cout << "batching speedup: "
-            << (off.solves_per_sec / off_unbatched.solves_per_sec)
-            << "x cache-off, " << (on.solves_per_sec / on_unbatched.solves_per_sec)
-            << "x cache-on\n";
-  std::cout << "batch occupancy: " << on.stats.meanBatchOccupancy()
-            << " mean, " << on.stats.batch_occupancy_hist.p50() << " / "
-            << on.stats.batch_occupancy_hist.p99() << " p50/p99 ("
-            << on.stats.batches << " bursts)\n";
 
   const auto pacedLine = [&](const char* name, const RunResult& r) {
     std::cout << "  " << name << ": offered " << rate << " req/s, achieved "
               << r.solves_per_sec << " req/s, queue p50/p99 "
               << r.stats.queue_hist.p50() << " / " << r.stats.queue_hist.p99()
-              << " ms, occupancy " << r.stats.meanBatchOccupancy() << "\n";
+              << " ms\n";
   };
-  std::cout << "\noffered-vs-achieved (12-DOF, PR 4 offered load, batched):\n";
+  std::cout << "\noffered-vs-achieved (12-DOF, PR 4 offered load):\n";
   pacedLine("cache off", paced_off);
   pacedLine("cache on ", paced_on);
-
-  if (require_batched) {
-    // CI smoke gate: the batched path must actually coalesce.
-    const double occupancy = on.stats.meanBatchOccupancy();
-    if (!(occupancy > 1.0)) {
-      std::cerr << "require-batched: mean batch occupancy " << occupancy
-                << " is not > 1 — coalescing did not engage\n";
-      return 1;
-    }
-    std::cout << "require-batched: OK (mean occupancy " << occupancy << ")\n";
-  }
 
   if (!json_path.empty()) {
     std::vector<bench::MetricRecord> records = {
         {"service_batch_baseline_solves_per_sec", baseline.solves_per_second,
          "solves/s"},
-        // Legacy names describe the service default path, which is now
-        // batched dispatch; *_unbatched keeps the per-request rows.
         {"service_solves_per_sec_cache_off", off.solves_per_sec, "solves/s"},
         {"service_solves_per_sec_cache_on", on.solves_per_sec, "solves/s"},
-        {"service_solves_per_sec_cache_off_unbatched",
-         off_unbatched.solves_per_sec, "solves/s"},
-        {"service_solves_per_sec_cache_on_unbatched",
-         on_unbatched.solves_per_sec, "solves/s"},
-        {"service_batched_solves_per_sec", on.solves_per_sec, "solves/s"},
         {"service_p50_ms_cache_off", off.p50_ms, "ms"},
         {"service_p99_ms_cache_off", off.p99_ms, "ms"},
         {"service_p50_ms_cache_on", on.p50_ms, "ms"},
@@ -285,12 +230,6 @@ int main(int argc, char** argv) {
         {"service_mean_iterations_cache_off", off.mean_iterations, "iters"},
         {"service_mean_iterations_cache_on", on.mean_iterations, "iters"},
         {"service_cache_hit_rate", on.hit_rate, "ratio"},
-        {"service_batch_occupancy_p50", on.stats.batch_occupancy_hist.p50(),
-         "requests"},
-        {"service_batch_occupancy_p99", on.stats.batch_occupancy_hist.p99(),
-         "requests"},
-        {"service_batch_mean_occupancy", on.stats.meanBatchOccupancy(),
-         "requests"},
         // Offered-vs-achieved at the PR 4 load: the queue percentiles
         // here are the meaningful queueing numbers (the burst runs
         // above measure drain throughput, where queue wait is a

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -49,7 +50,6 @@ constexpr const char* kUsage =
     "  serve-bench --robot <spec> [--requests n] [--clusters c] [--workers w]\n"
     "        [--queue-capacity n] [--rate req-per-s] [--deadline ms]\n"
     "        [--cache on|off] [--solver name] [--max-iter n]\n"
-    "        [--max-batch n] [--batch-wait-us us]\n"
     "        [--stats-out FILE] [--stats-format auto|prom|json]\n"
     "        [--breaker-queue-depth n] [--breaker-p99-ms x]\n"
     "        [--shed-queue-depth n]\n"
@@ -57,20 +57,20 @@ constexpr const char* kUsage =
     "        [--robots-file FILE] [--workers w-per-spec]\n"
     "        [--queue-capacity n] [--solver name] [--max-iter n]\n"
     "        [--cache on|off] [--max-connections n] [--idle-timeout ms]\n"
-    "        [--max-batch n] [--batch-wait-us us]\n"
     "        [--stats-format text|prom|json] [--max-runtime-ms n]\n"
     "        [--breaker-queue-depth n] [--breaker-p99-ms x]\n"
     "        [--shed-queue-depth n]\n"
     "        (repeat --robot to host several specs; wire spec_id 0,1,...\n"
     "        in registration order, each spec behind its own queue,\n"
     "        workers and seed cache)\n"
-    "  stats --robot <spec> [--format text|prom|json] [serve-bench options]\n"
+    "  stats --robot <spec> [--format text|prom|json] [serve-bench options\n"
+    "        except --stats-out and --stats-format]\n"
     "  sim   [--scenario baseline|burst|chaos|overload|multispec] [--seed n]\n"
-    "        [--requests n] [--clients n] [--workers n] [--max-batch n]\n"
-    "        [--batch-wait-us us] [--specs n] [--trace-out FILE]\n"
-    "        [--trace-keep n]\n"
+    "        [--requests n] [--clients n] [--workers n] [--specs n]\n"
+    "        [--trace-out FILE] [--trace-keep n]\n"
     "robot specs: serpentine:<dof> planar:<dof> puma iiwa tentacle:<seg>\n"
     "             random:<dof>:<seed> or a robot-description file path\n"
+    "a command fails (exit 2) on any option it does not list above\n"
     "global options (accepted after any command):\n"
     "  --spec-backend scalar|avx2|avx512   force the batched-FK\n"
     "        speculation backend (default: CPUID dispatch; the\n"
@@ -89,6 +89,48 @@ std::map<std::string, std::string> parseOptions(
     opts[key.substr(2)] = args[i + 1];
   }
   return opts;
+}
+
+/// Command name -> the option keys it reads.
+using OptionTable = std::map<std::string, std::set<std::string>>;
+
+OptionTable makeOptionTable() {
+  // The in-process serving workload shared by serve-bench and stats.
+  const std::set<std::string> workload = {
+      "robot", "requests", "clusters", "workers", "queue-capacity", "rate",
+      "deadline", "cache", "solver", "max-iter", "breaker-queue-depth",
+      "breaker-p99-ms", "shed-queue-depth"};
+  OptionTable table = {
+      {"info", {"robot"}},
+      {"fk", {"robot", "joints"}},
+      {"solve",
+       {"robot", "target", "solver", "accuracy", "max-iter", "speculations",
+        "seed-config"}},
+      {"accel", {"robot", "target", "ssus", "speculations"}},
+      {"pose", {"robot", "target", "rpy", "accuracy", "angular-accuracy"}},
+      {"serve-bench", workload},
+      {"stats", workload},
+      {"serve",
+       {"robot", "robots-file", "port", "address", "workers",
+        "queue-capacity", "solver", "max-iter", "cache", "max-connections",
+        "idle-timeout", "stats-format", "max-runtime-ms",
+        "breaker-queue-depth", "breaker-p99-ms", "shed-queue-depth"}},
+      {"sim",
+       {"scenario", "seed", "requests", "clients", "workers", "specs",
+        "trace-out", "trace-keep"}},
+  };
+  table["serve-bench"].insert({"stats-out", "stats-format"});
+  table["stats"].insert("format");
+  return table;
+}
+
+/// The options each command reads, besides the global --spec-backend.
+/// run() rejects any other key before the command starts, so a typo or
+/// a retired flag in a deploy script fails loudly instead of being
+/// silently ignored.
+const OptionTable& commandOptions() {
+  static const OptionTable table = makeOptionTable();
+  return table;
 }
 
 std::string require(const std::map<std::string, std::string>& opts,
@@ -247,19 +289,6 @@ service::CircuitBreakerConfig parseBreakerOptions(
   return breaker;
 }
 
-/// Batch-coalescer flags shared by serve / serve-bench / stats.
-/// Batching is on by default (--max-batch 16, --batch-wait-us 100);
-/// `--max-batch 1` restores per-request dispatch.
-void applyBatchOptions(service::ServiceConfig& config,
-                       const std::map<std::string, std::string>& opts) {
-  config.max_batch = static_cast<std::size_t>(
-      std::stoul(optional(opts, "max-batch", "16")));
-  if (config.max_batch == 0)
-    throw std::invalid_argument("--max-batch must be >= 1");
-  config.batch_wait_us = static_cast<std::uint32_t>(
-      std::stoul(optional(opts, "batch-wait-us", "100")));
-}
-
 /// Open-loop arrival run against a live IkService: submit `requests`
 /// clustered targets at a fixed arrival rate (0 = all at once).  Open
 /// loop means arrivals do not wait for completions — exactly the
@@ -288,7 +317,6 @@ ServeRun runServeWorkload(const kin::Chain& chain,
       std::stoul(optional(opts, "queue-capacity", "1024")));
   config.enable_seed_cache = run.cache_flag == "on";
   config.breaker = parseBreakerOptions(opts);
-  applyBatchOptions(config, opts);
 
   const auto tasks =
       workload::generateClusteredTasks(chain, requests, run.clusters);
@@ -392,11 +420,6 @@ int cmdServeBench(const kin::Chain& chain,
   out << "solve ms p50/p99:  " << stats.solve_hist.p50() << " / "
       << stats.solve_hist.p99() << '\n';
   out << "mean iterations:   " << stats.meanIterations() << '\n';
-  if (stats.batches > 0)
-    out << "batch occupancy:   " << stats.meanBatchOccupancy() << " mean, "
-        << stats.batch_occupancy_hist.p50() << " / "
-        << stats.batch_occupancy_hist.p99() << " p50/p99 ("
-        << stats.batches << " bursts)\n";
   out << "cache:             " << run.cache_flag << ", hit rate "
       << stats.cacheHitRate() << " (" << stats.cache_hits << "/"
       << (stats.cache_hits + stats.cache_misses) << ")\n";
@@ -441,7 +464,6 @@ int cmdServe(const registry::RobotSpecRegistry& registry,
       std::stoul(optional(opts, "queue-capacity", "1024")));
   service_config.enable_seed_cache = cache_flag == "on";
   service_config.breaker = parseBreakerOptions(opts);
-  applyBatchOptions(service_config, opts);
 
   net::ServerConfig server_config;
   server_config.bind_address = optional(opts, "address", "127.0.0.1");
@@ -541,10 +563,6 @@ int cmdSim(const std::map<std::string, std::string>& opts, std::ostream& out,
       std::stoull(optional(opts, "clients", std::to_string(config.clients)));
   config.workers =
       std::stoull(optional(opts, "workers", std::to_string(config.workers)));
-  config.max_batch = std::stoull(
-      optional(opts, "max-batch", std::to_string(config.max_batch)));
-  config.batch_wait_us = static_cast<std::uint32_t>(std::stoul(optional(
-      opts, "batch-wait-us", std::to_string(config.batch_wait_us))));
   config.specs =
       std::stoull(optional(opts, "specs", std::to_string(config.specs)));
   config.trace_keep = std::stoull(
@@ -564,8 +582,7 @@ int cmdSim(const std::map<std::string, std::string>& opts, std::ostream& out,
                 static_cast<unsigned long long>(result.trace.digest()));
   out << "scenario:    " << config.name << " (seed " << config.seed << ")\n";
   out << "requests:    " << config.requests << " over " << config.clients
-      << " clients, " << config.workers << " workers, batch "
-      << config.max_batch << "/" << config.batch_wait_us << "us\n";
+      << " clients, " << config.workers << " workers\n";
   out << "virtual:     " << result.virtual_ms << " ms simulated in "
       << result.wall_ms << " ms wall (" << result.tasks_executed
       << " tasks)\n";
@@ -575,8 +592,7 @@ int cmdSim(const std::map<std::string, std::string>& opts, std::ostream& out,
   out << "verdicts:    " << result.solved << " solved, " << result.rejected
       << " rejected, " << result.deadline_exceeded << " deadline\n";
   out << "service:     " << result.service.submitted << " submitted, "
-      << result.service.converged << " converged, mean batch "
-      << result.service.meanBatchOccupancy() << ", cache hit rate "
+      << result.service.converged << " converged, cache hit rate "
       << result.service.cacheHitRate() << '\n';
   for (const sim::ScenarioSpecStats& s : result.per_spec)
     out << "  spec " << s.spec_id << " (" << s.name << "): "
@@ -627,6 +643,15 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     }
     const std::string& command = args[0];
     const auto opts = parseOptions(args, 1);
+    const auto accepted = commandOptions().find(command);
+    if (accepted == commandOptions().end()) {
+      err << "unknown command '" << command << "'\n" << kUsage;
+      return 2;
+    }
+    for (const auto& [key, value] : opts)
+      if (key != "spec-backend" && accepted->second.count(key) == 0)
+        throw std::invalid_argument("unknown option --" + key + " for '" +
+                                    command + "'");
     // Global: pin the speculation backend before any solver is built.
     if (const auto it = opts.find("spec-backend"); it != opts.end()) {
       if (!kin::setSpecBackendOverride(it->second))
@@ -663,9 +688,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (command == "accel") return cmdAccel(chain, opts, out);
     if (command == "pose") return cmdPose(chain, opts, out);
     if (command == "serve-bench") return cmdServeBench(chain, opts, out);
-    if (command == "stats") return cmdStats(chain, opts, out);
-    err << "unknown command '" << command << "'\n" << kUsage;
-    return 2;
+    return cmdStats(chain, opts, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return 2;

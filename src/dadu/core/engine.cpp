@@ -53,21 +53,10 @@ ik::SolveResult IkEngine::solve(const linalg::Vec3& target,
 
 std::vector<ik::SolveResult> IkEngine::solveBatch(
     const std::vector<linalg::Vec3>& targets, const linalg::VecX& seed) {
-  // Route through solveMany so fused backends (Quick-IK's grouped SoA
-  // sweep) amortize the chain walk across targets; per-target results
-  // are bit-identical to sequential solve() calls either way.
-  std::vector<ik::BatchLane> lanes;
-  lanes.reserve(targets.size());
-  for (const linalg::Vec3& t : targets) lanes.push_back({t, &seed, {}});
-  std::vector<ik::BatchLaneResult> outcomes(targets.size());
-  solver_->solveMany(lanes.data(), outcomes.data(), lanes.size());
-
   std::vector<ik::SolveResult> results;
   results.reserve(targets.size());
-  for (ik::BatchLaneResult& outcome : outcomes) {
-    if (outcome.error) std::rethrow_exception(outcome.error);
-    results.push_back(std::move(outcome.result));
-  }
+  for (const linalg::Vec3& t : targets)
+    results.push_back(solver_->solve(t, seed));
   return results;
 }
 

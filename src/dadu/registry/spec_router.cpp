@@ -101,8 +101,6 @@ service::ServiceStats SpecRouter::aggregatedStats() const {
     total.total_speculation_load += s.total_speculation_load;
     total.total_queue_ms += s.total_queue_ms;
     total.total_solve_ms += s.total_solve_ms;
-    total.batches += s.batches;
-    total.batched_lanes += s.batched_lanes;
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
     total.cache_inserts += s.cache_inserts;
@@ -110,7 +108,6 @@ service::ServiceStats SpecRouter::aggregatedStats() const {
     obs::mergeInto(total.queue_hist, s.queue_hist);
     obs::mergeInto(total.solve_hist, s.solve_hist);
     obs::mergeInto(total.e2e_hist, s.e2e_hist);
-    obs::mergeInto(total.batch_occupancy_hist, s.batch_occupancy_hist);
     total.breaker.trips += s.breaker.trips;
     total.breaker.probes_issued += s.breaker.probes_issued;
     // Fleet breaker "state" = the worst lane's (any Open lane matters
@@ -147,8 +144,6 @@ obs::MetricsSnapshot SpecRouter::metrics() const {
     snap.counters.push_back({prefix + "cache_misses", lane.stats.cache_misses});
     snap.gauges.push_back(
         {prefix + "cache_hit_rate", lane.stats.cacheHitRate(), "ratio"});
-    snap.gauges.push_back({prefix + "batch_mean_occupancy",
-                           lane.stats.meanBatchOccupancy(), "requests"});
     snap.gauges.push_back({prefix + "queue_depth",
                            static_cast<double>(lane.queue_depth), "requests"});
     snap.gauges.push_back(

@@ -12,12 +12,12 @@
 //                          are meaningless across chains — a hit in
 //                          spec A can never seed spec B because the
 //                          caches are physically separate;
-//   spec-pure batches      a worker's popMany burst drains one lane's
-//                          queue, so a fused solveMany always shares
-//                          one chain (the PR 6 invariant), and routing
-//                          is bit-identical to running each spec in its
-//                          own single-spec server: same queue, same
-//                          cache, same batch coalescing, same solver.
+//   spec-pure solvers      each lane's workers hold solvers built for
+//                          its own chain, so a request is only ever
+//                          solved against the spec it named, and
+//                          routing is bit-identical to running each
+//                          spec in its own single-spec server: same
+//                          queue, same cache, same solver.
 //
 // The front-ends (IkServer, SimServer) route a wire request by its
 // spec_id through submit(); an unknown id returns false and the caller
@@ -40,8 +40,8 @@ namespace dadu::registry {
 /// Registry-level resource policy: how big each spec's lane is.
 struct RouterConfig {
   /// Template for every lane's ServiceConfig (queue capacity, cache,
-  /// batching, breaker, stat shards, clock/executor seams).  The
-  /// `workers` field is the per-spec default; see workers_per_spec.
+  /// breaker, stat shards, clock/executor seams).  The `workers` field
+  /// is the per-spec default; see workers_per_spec.
   service::ServiceConfig base;
   /// Workers per spec: RobotSpec::workers wins when set, then this,
   /// then base.workers; all zero = hardware concurrency divided evenly
@@ -76,7 +76,7 @@ class SpecRouter {
 
   /// Route one request to its spec's lane.  Returns false (without
   /// invoking `done`) when the spec is unknown — the caller owns the
-  /// error answer.  Admission, deadlines and batching are the lane
+  /// error answer.  Admission, deadlines and dispatch are the lane
   /// service's, identical to a single-spec deployment.
   bool submit(std::uint32_t spec_id, service::Request request,
               service::IkService::Completion done);
@@ -98,9 +98,9 @@ class SpecRouter {
   std::vector<SpecLaneStats> perSpecStats() const;
 
   /// Aggregate dadu_service_* snapshot plus per-spec series named
-  /// `dadu_spec_<name>_*` (requests, solved, cache hit rate, batch
-  /// occupancy, queue depth, workers) — the exporter model has no
-  /// labels, so the spec name rides in the metric name.
+  /// `dadu_spec_<name>_*` (requests, solved, cache hit rate, queue
+  /// depth, workers) — the exporter model has no labels, so the spec
+  /// name rides in the metric name.
   obs::MetricsSnapshot metrics() const;
 
  private:

@@ -23,16 +23,13 @@ double msBetween(Clock::time_point from, Clock::time_point to) {
 IkService::IkService(SolverFactory factory, ServiceConfig config)
     : config_(config),
       factory_(std::move(factory)),
-      queue_(config.queue_capacity, config.clock),
+      queue_(config.queue_capacity),
       cache_(config.cache),
       breaker_(config.breaker),
       counters_(kCounterCount, config.stat_shards),
       queue_hist_(config.latency),
       solve_hist_(config.latency),
-      e2e_hist_(config.latency),
-      // Occupancy is a count (1..max_batch), not a latency: a 1..4096
-      // ladder at 24 buckets/decade resolves individual small sizes.
-      batch_hist_(obs::LatencyHistogram::Config{1.0, 4096.0, 24}) {
+      e2e_hist_(config.latency) {
   if (!factory_) throw std::invalid_argument("IkService: null factory");
   std::size_t workers = config_.workers;
   if (workers == 0)
@@ -171,34 +168,20 @@ void IkService::rejectJob(Job& job, RejectReason reason) {
 void IkService::workerLoop() {
   const std::unique_ptr<ik::IkSolver> solver = factory_();
   solver->setClock(config_.clock);
-  if (config_.max_batch <= 1) {
-    Job job;
-    while (queue_.pop(job)) {
-      // Discard-mode shutdown: anything dequeued after the discard flag
-      // is up gets rejected, never solved.  Without this check a worker
-      // racing stop()'s close()->drain() window could still execute
-      // pending work the caller asked to be dropped.
-      if (discard_.load(std::memory_order_acquire)) {
-        rejectJob(job, RejectReason::kShutdown);
-        continue;
-      }
-      process(*solver, std::move(job));
-    }
+  Job job;
+  while (queue_.pop(job)) step(*solver, std::move(job));
+}
+
+void IkService::step(ik::IkSolver& solver, Job job) {
+  // Discard-mode shutdown: anything dequeued after the discard flag is
+  // up gets rejected, never solved.  Without this check a worker racing
+  // stop()'s close()->drain() window could still execute pending work
+  // the caller asked to be dropped.
+  if (discard_.load(std::memory_order_acquire)) {
+    rejectJob(job, RejectReason::kShutdown);
     return;
   }
-
-  // Batched dispatch: drain a burst per wakeup.  Every burst goes
-  // through processBatch — including singletons, so occupancy stats
-  // describe all dispatched work, not just the lucky coalesced bursts.
-  BatchScratch scratch;
-  const auto wait = std::chrono::microseconds(config_.batch_wait_us);
-  while (queue_.popMany(scratch.burst, config_.max_batch, wait) > 0) {
-    if (discard_.load(std::memory_order_acquire)) {
-      for (Job& job : scratch.burst) rejectJob(job, RejectReason::kShutdown);
-      continue;
-    }
-    processBatch(*solver, scratch);
-  }
+  process(solver, std::move(job));
 }
 
 ik::IkSolver& IkService::coopSolver(CoopWorker& w) {
@@ -215,259 +198,29 @@ void IkService::scheduleCoopWorkers() {
   for (std::size_t i = 0; i < coop_workers_.size(); ++i) {
     if (queue_.size() == 0) return;
     CoopWorker& w = coop_workers_[i];
-    if (w.busy) {
-      // A lingering worker parked on its coalescing timer is woken
-      // early the moment a full burst is ready — the discrete-event
-      // mirror of popMany's "return early once full".
-      if (w.lingering && queue_.size() >= config_.max_batch) {
-        w.lingering = false;
-        const std::uint64_t gen = ++w.generation;
-        config_.executor->post([this, i, gen] { coopStep(i, gen); });
-      }
-      continue;
-    }
+    if (w.busy) continue;
     w.busy = true;
-    w.lingering = false;
-    const std::uint64_t gen = ++w.generation;
-    config_.executor->post([this, i, gen] { coopStep(i, gen); });
+    config_.executor->post([this, i] { coopStep(i); });
   }
 }
 
-void IkService::coopStep(std::size_t worker, std::uint64_t generation) {
+void IkService::coopStep(std::size_t worker) {
   CoopWorker& w = coop_workers_[worker];
-  if (generation != w.generation) return;  // superseded or stopped
-  const bool discarding = discard_.load(std::memory_order_acquire);
-
-  if (config_.max_batch <= 1) {
-    Job job;
-    if (!queue_.tryPop(job)) {
-      w.busy = false;
-      return;
-    }
-    if (discarding)
-      rejectJob(job, RejectReason::kShutdown);
-    else
-      process(coopSolver(w), std::move(job));
-  } else {
-    const std::size_t depth = queue_.size();
-    if (depth == 0) {
-      w.busy = false;
-      w.lingering = false;
-      return;
-    }
-    // The Nagle-style coalescing window, modeled as a timer: an
-    // under-filled burst parks for batch_wait_us (or until
-    // scheduleCoopWorkers wakes it early with a full queue) before
-    // taking whatever is on hand.  Same observable semantics as
-    // popMany's condition-variable linger — the burst dispatches at
-    // linger end, and every lane's queue_ms includes the wait.
-    if (!w.lingering && depth < config_.max_batch &&
-        config_.batch_wait_us > 0 && !discarding && !queue_.closed()) {
-      w.lingering = true;
-      const std::uint64_t gen = ++w.generation;
-      config_.executor->postAt(
-          now() + std::chrono::microseconds(config_.batch_wait_us),
-          [this, worker, gen] { coopStep(worker, gen); });
-      return;
-    }
-    w.lingering = false;
-    if (queue_.tryPopMany(w.scratch.burst, config_.max_batch) == 0) {
-      w.busy = false;
-      return;
-    }
-    if (discarding) {
-      for (Job& job : w.scratch.burst)
-        rejectJob(job, RejectReason::kShutdown);
-    } else {
-      processBatch(coopSolver(w), w.scratch);
-    }
+  Job job;
+  // An empty queue also retires a step posted before stop(): stop()
+  // leaves nothing queued, whichever drain mode it ran.
+  if (!queue_.tryPop(job)) {
+    w.busy = false;
+    return;
   }
-
+  step(coopSolver(w), std::move(job));
   if (queue_.size() > 0) {
-    // Yield through the executor between bursts (rather than looping
+    // Yield through the executor between requests (rather than looping
     // inline) so submissions and other workers interleave exactly as
     // the scheduler's seed decides.
-    const std::uint64_t gen = ++w.generation;
-    config_.executor->post([this, worker, gen] { coopStep(worker, gen); });
+    config_.executor->post([this, worker] { coopStep(worker); });
   } else {
     w.busy = false;
-  }
-}
-
-void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
-  const std::size_t m = s.burst.size();
-  counters_.add(kBatches);
-  counters_.add(kBatchedLanes, m);
-  batch_hist_.record(static_cast<double>(m));
-  obs::ObsSink* const sink = config_.sink.get();
-
-  s.live.assign(m, 0);
-  s.queue_ms.assign(m, 0.0);
-  s.fault_ms.assign(m, 0.0);
-  s.from_cache.assign(m, 0);
-  if (s.seeds.size() < m) s.seeds.resize(m);
-
-  // Pickup pass, FIFO order: per-lane stall fault, queue-wait stamp,
-  // and the queued-past-deadline drop — statement-for-statement the
-  // head of process(), just applied lane by lane before any solving.
-  for (std::size_t i = 0; i < m; ++i) {
-    Job& job = s.burst[i];
-    if (fault::FaultInjector::armed()) fault::inject("service.worker.stall", config_.clock);
-    const Clock::time_point picked_up = now();
-    s.queue_ms[i] = msBetween(job.enqueued, picked_up);
-    if (job.has_deadline && picked_up > job.deadline) {
-      counters_.add(kDeadlineExpired);
-      if (sink) sink->onCount("deadline_expired", 1);
-      if (job.probe) breaker_.onProbeResult(false, picked_up);
-      Response response;
-      response.status = ResponseStatus::kDeadlineExceeded;
-      response.queue_ms = s.queue_ms[i];
-      job.finish(std::move(response), nullptr);
-      continue;
-    }
-    s.live[i] = 1;
-  }
-
-  // Seed resolution.  Cache-eligible lanes go through one bulk
-  // lookupMany (single shard-lock sweep for the whole burst); the rest
-  // take their explicit seed or the zero configuration, as process()
-  // does.  The seed-corruption fault fires per hit lane.
-  s.cache_targets.clear();
-  s.cache_slots.clear();
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!s.live[i]) continue;
-    Job& job = s.burst[i];
-    if (config_.enable_seed_cache && job.request.use_seed_cache) {
-      s.cache_targets.push_back(job.request.target);
-      s.cache_slots.push_back(i);
-    } else if (!job.request.seed.empty()) {
-      s.seeds[i] = std::move(job.request.seed);
-    } else {
-      s.seeds[i] = solver.chain().zeroConfiguration();
-    }
-  }
-  if (!s.cache_targets.empty()) {
-    const std::size_t queries = s.cache_targets.size();
-    if (s.cache_hits.size() < queries) s.cache_hits.resize(queries);
-    if (s.probe_seeds.size() < queries) s.probe_seeds.resize(queries);
-    cache_.lookupMany(s.cache_targets.data(), queries, s.probe_seeds.data(),
-                      s.cache_hits.data());
-    for (std::size_t c = 0; c < queries; ++c) {
-      const std::size_t i = s.cache_slots[c];
-      Job& job = s.burst[i];
-      if (s.cache_hits[c]) {
-        s.seeds[i] = s.probe_seeds[c];
-        s.from_cache[i] = 1;
-        if (fault::FaultInjector::armed()) {
-          const fault::Decision d = fault::decide("service.seed_cache.seed");
-          if (d.action == fault::Action::kCorrupt)
-            fault::corruptDoubles(s.seeds[i].data(), s.seeds[i].size(),
-                                  d.corrupt_seed);
-        }
-      } else if (!job.request.seed.empty()) {
-        s.seeds[i] = std::move(job.request.seed);
-      } else {
-        s.seeds[i] = solver.chain().zeroConfiguration();
-      }
-    }
-  }
-
-  // Pre-solve fault point, per lane: a throw here takes the exact
-  // internal-error path a solver throw takes, without touching its
-  // batchmates; a delay is charged to the lane's solve_ms below.
-  if (fault::FaultInjector::armed()) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!s.live[i]) continue;
-      platform::WallTimer fault_timer(config_.clock);
-      try {
-        fault::inject("service.worker.solve", config_.clock);
-      } catch (...) {
-        Job& job = s.burst[i];
-        if (job.probe) breaker_.onProbeResult(false, now());
-        counters_.add(kInternalErrors);
-        Response failed;
-        job.finish(std::move(failed), std::current_exception());
-        s.live[i] = 0;
-        continue;
-      }
-      s.fault_ms[i] = fault_timer.elapsedMs();
-    }
-  }
-
-  // Fused solve: every surviving lane goes through one solveMany call
-  // (one grouped speculation kernel inside), each with its own deadline.
-  s.lanes.clear();
-  s.lane_job.clear();
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!s.live[i]) continue;
-    Job& job = s.burst[i];
-    s.lanes.push_back({job.request.target, &s.seeds[i],
-                       job.has_deadline ? job.deadline : Clock::time_point{}});
-    s.lane_job.push_back(i);
-  }
-  if (s.lanes.empty()) return;
-  if (s.outcomes.size() < s.lanes.size()) s.outcomes.resize(s.lanes.size());
-  solver.solveMany(s.lanes.data(), s.outcomes.data(), s.lanes.size());
-
-  // Retirement pass: per-lane bookkeeping identical to the tail of
-  // process() — cache insert, breaker verdicts, counters, histograms,
-  // sink spans, and exactly one completion per lane.
-  for (std::size_t lane = 0; lane < s.lane_job.size(); ++lane) {
-    const std::size_t i = s.lane_job[lane];
-    Job& job = s.burst[i];
-    ik::BatchLaneResult& outcome = s.outcomes[lane];
-    const double queue_ms = s.queue_ms[i];
-
-    if (outcome.error) {
-      if (job.probe) breaker_.onProbeResult(false, now());
-      counters_.add(kInternalErrors);
-      Response failed;
-      job.finish(std::move(failed), outcome.error);
-      continue;
-    }
-
-    ik::SolveResult result = std::move(outcome.result);
-    const double solve_ms = outcome.solve_ms + s.fault_ms[i];
-
-    if (result.converged() && config_.enable_seed_cache &&
-        job.request.use_seed_cache)
-      cache_.insert(job.request.target, result.theta);
-
-    const bool timed_out = result.status == ik::Status::kTimedOut;
-    if (breaker_.enabled()) {
-      breaker_.recordSolve(solve_ms, now());
-      if (job.probe) breaker_.onProbeResult(!timed_out, now());
-    }
-
-    counters_.add(kSolved);
-    if (result.converged()) counters_.add(kConverged);
-    if (timed_out) counters_.add(kTimedOutSolves);
-    counters_.add(kIterations, static_cast<std::uint64_t>(result.iterations));
-    counters_.add(kFkEvaluations,
-                  static_cast<std::uint64_t>(result.fk_evaluations));
-    counters_.add(kSpeculationLoad,
-                  static_cast<std::uint64_t>(result.speculation_load));
-    queue_hist_.record(queue_ms);
-    solve_hist_.record(solve_ms);
-    e2e_hist_.record(queue_ms + solve_ms);
-
-    if (sink) {
-      sink->onSpan("queue", queue_ms);
-      sink->onSpan("solve", solve_ms);
-      sink->onCount("iterations", static_cast<std::uint64_t>(result.iterations));
-      sink->onCount("fk_evaluations",
-                    static_cast<std::uint64_t>(result.fk_evaluations));
-      sink->onCount("speculation_load",
-                    static_cast<std::uint64_t>(result.speculation_load));
-    }
-
-    Response response;
-    response.status = ResponseStatus::kSolved;
-    response.result = std::move(result);
-    response.queue_ms = queue_ms;
-    response.solve_ms = solve_ms;
-    response.seeded_from_cache = s.from_cache[i] != 0;
-    job.finish(std::move(response), nullptr);
   }
 }
 
@@ -596,19 +349,14 @@ void IkService::stop(Drain mode) {
       rejectJob(job, RejectReason::kShutdown);
   }
   if (config_.executor) {
-    // Cooperative mode: no threads to join.  Invalidate every posted
-    // dispatch step (a stale step firing after stop must be a no-op),
-    // then finish whatever is still queued inline — drain semantics
-    // solve it, discard already rejected it above.
-    for (CoopWorker& w : coop_workers_) {
-      ++w.generation;
-      w.busy = false;
-      w.lingering = false;
-    }
+    // Cooperative mode: no threads to join.  Finish whatever is still
+    // queued inline — drain semantics solve it, discard already
+    // rejected it above — so a step posted earlier finds the queue
+    // empty and retires.
     if (mode == Drain::kDrainPending && !coop_workers_.empty()) {
       Job job;
       while (queue_.tryPop(job))
-        process(coopSolver(coop_workers_[0]), std::move(job));
+        step(coopSolver(coop_workers_[0]), std::move(job));
     }
     return;
   }
@@ -634,13 +382,10 @@ ServiceStats IkService::stats() const {
       static_cast<long long>(totals[kFkEvaluations]);
   snapshot.total_speculation_load =
       static_cast<long long>(totals[kSpeculationLoad]);
-  snapshot.batches = totals[kBatches];
-  snapshot.batched_lanes = totals[kBatchedLanes];
 
   snapshot.queue_hist = queue_hist_.snapshot();
   snapshot.solve_hist = solve_hist_.snapshot();
   snapshot.e2e_hist = e2e_hist_.snapshot();
-  snapshot.batch_occupancy_hist = batch_hist_.snapshot();
   snapshot.total_queue_ms = snapshot.queue_hist.sum;
   snapshot.total_solve_ms = snapshot.solve_hist.sum;
 

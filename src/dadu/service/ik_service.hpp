@@ -86,19 +86,6 @@ struct ServiceConfig {
   /// Overload circuit breaker (disabled by default — zero overhead).
   /// See circuit_breaker.hpp for the state machine and thresholds.
   CircuitBreakerConfig breaker;
-  /// Batch coalescer: each worker drains up to `max_batch` queued
-  /// requests in one BoundedQueue::popMany and runs them through the
-  /// solver's fused solveMany path (one grouped SoA speculation sweep
-  /// for the whole burst).  1 = per-request dispatch (the legacy
-  /// one-pop-one-solve loop).  Per-request semantics are identical
-  /// either way — same Response statuses, per-lane deadlines and fault
-  /// points — batching only changes how work is amortized.
-  std::size_t max_batch = 1;
-  /// Nagle-style coalescing window in microseconds: an under-filled
-  /// burst lingers up to this long for stragglers before solving.
-  /// Whatever is already queued is taken without any added latency; 0
-  /// disables the wait entirely.  Only meaningful with max_batch > 1.
-  std::uint32_t batch_wait_us = 0;
   /// Test seam: invoked by stop() between closing the queue and
   /// draining it — the race window the discard path must tolerate.
   /// Never set in production.
@@ -114,12 +101,11 @@ struct ServiceConfig {
   /// Execution seam (null = OS worker threads, the production path).
   /// With an executor the service spawns NO threads: `workers` becomes
   /// a count of cooperative logical workers whose dispatch steps are
-  /// posted as executor tasks, and the popMany linger window becomes a
-  /// postAt timer instead of a parked condition variable.  Per-request
-  /// semantics (admission, deadlines, breaker, batching, statuses) are
-  /// identical.  Single-threaded by contract: submit/stop must be
-  /// called from the executor's thread, and the executor must outlive
-  /// the service.
+  /// posted as executor tasks.  Each step runs the same dispatch as a
+  /// worker thread's loop body, so per-request semantics (admission,
+  /// deadlines, breaker, statuses) are identical.  Single-threaded by
+  /// contract: submit/stop must be called from the executor's thread,
+  /// and the executor must outlive the service.
   platform::Executor* executor = nullptr;
 };
 
@@ -194,27 +180,7 @@ class IkService {
     kIterations,
     kFkEvaluations,
     kSpeculationLoad,
-    kBatches,       ///< coalesced bursts dispatched (batched path only)
-    kBatchedLanes,  ///< requests carried by those bursts
     kCounterCount,
-  };
-
-  /// Per-worker scratch for the batched dispatch path, reused across
-  /// bursts so a warm worker allocates nothing per burst.
-  struct BatchScratch {
-    std::vector<Job> burst;
-    std::vector<unsigned char> live;  ///< still headed for the solver
-    std::vector<double> queue_ms;
-    std::vector<double> fault_ms;  ///< service.worker.solve delay charge
-    std::vector<linalg::VecX> seeds;
-    std::vector<unsigned char> from_cache;
-    std::vector<linalg::Vec3> cache_targets;
-    std::vector<std::size_t> cache_slots;
-    std::vector<unsigned char> cache_hits;
-    std::vector<linalg::VecX> probe_seeds;
-    std::vector<ik::BatchLane> lanes;
-    std::vector<ik::BatchLaneResult> outcomes;
-    std::vector<std::size_t> lane_job;  ///< lane index -> burst index
   };
 
   /// One cooperative logical worker (executor mode): the state a
@@ -222,12 +188,7 @@ class IkService {
   /// between posted dispatch steps.
   struct CoopWorker {
     std::unique_ptr<ik::IkSolver> solver;  ///< created on first step
-    BatchScratch scratch;
-    bool busy = false;       ///< a step is posted or running
-    bool lingering = false;  ///< parked on the batch_wait_us timer
-    /// Invalidates stale posted steps (a lingering worker woken early
-    /// by a full queue must ignore its original timer firing).
-    std::uint64_t generation = 0;
+    bool busy = false;                     ///< a step is posted or running
   };
 
   platform::Clock::time_point now() const {
@@ -235,19 +196,25 @@ class IkService {
   }
 
   void submitInternal(Request request, JobCompletion finish);
+  /// Threaded worker: blocking pop, then step(), until the queue is
+  /// closed and drained.
   void workerLoop();
+  /// The one dispatch step both execution modes share: reject a job
+  /// dequeued during a discard stop, otherwise process() it.
+  void step(ik::IkSolver& solver, Job job);
+  /// Retire one request: deadline check, seed, solve, bookkeeping and
+  /// exactly one completion.  The only path that solves a request.
   void process(ik::IkSolver& solver, Job job);
-  void processBatch(ik::IkSolver& solver, BatchScratch& scratch);
   void rejectNow(JobCompletion& finish, RejectReason reason);
   /// Reject a job that may be a half-open probe: the breaker hears a
   /// probe failure ("never executed"), then the completion fires.
   void rejectJob(Job& job, RejectReason reason);
-  /// Executor mode: post dispatch steps for idle workers while work is
-  /// queued (and wake a lingering worker once a full burst is ready).
+  /// Executor mode: post a dispatch step for each idle worker while
+  /// work is queued.
   void scheduleCoopWorkers();
-  /// Executor mode: one worker dispatch step — the body of one
-  /// workerLoop() wakeup, re-posting itself while work remains.
-  void coopStep(std::size_t worker, std::uint64_t generation);
+  /// Executor mode: tryPop, step(), then re-post while work remains —
+  /// the cooperative spelling of one workerLoop() iteration.
+  void coopStep(std::size_t worker);
   ik::IkSolver& coopSolver(CoopWorker& w);
 
   ServiceConfig config_;
@@ -274,11 +241,6 @@ class IkService {
   obs::LatencyHistogram queue_hist_;
   obs::LatencyHistogram solve_hist_;
   obs::LatencyHistogram e2e_hist_;
-  /// Burst occupancy (requests per popMany, batched path only): the
-  /// one distribution that says whether coalescing is actually
-  /// happening — p50 stuck at 1 under load means the window is too
-  /// short or the queue never backs up.
-  obs::LatencyHistogram batch_hist_;
 };
 
 }  // namespace dadu::service

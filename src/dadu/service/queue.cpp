@@ -5,8 +5,8 @@
 
 namespace dadu::service {
 
-BoundedQueue::BoundedQueue(std::size_t capacity, const platform::Clock* clock)
-    : capacity_(std::max<std::size_t>(capacity, 1)), clock_(clock) {}
+BoundedQueue::BoundedQueue(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 PushResult BoundedQueue::tryPush(Job&& job) {
   {
@@ -28,57 +28,12 @@ bool BoundedQueue::pop(Job& out) {
   return true;
 }
 
-std::size_t BoundedQueue::popMany(std::vector<Job>& out,
-                                  std::size_t max_items,
-                                  std::chrono::microseconds max_wait) {
-  out.clear();
-  if (max_items == 0) return 0;
-  const auto take = [&] {
-    while (!jobs_.empty() && out.size() < max_items) {
-      out.push_back(std::move(jobs_.front()));
-      jobs_.pop_front();
-    }
-  };
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
-  if (jobs_.empty()) return 0;  // closed and drained
-  take();
-
-  // Coalescing window: whatever was ready went first (no added latency
-  // for a deep queue); only an under-filled burst waits for company.
-  // Taking immediately before any further wait keeps the usual
-  // condition-variable invariant — nobody sleeps while work is queued.
-  if (out.size() < max_items && max_wait.count() > 0 && !closed_) {
-    const auto deadline = platform::clockNow(clock_) + max_wait;
-    while (out.size() < max_items && !closed_) {
-      if (!cv_.wait_until(lock, deadline,
-                          [&] { return closed_ || !jobs_.empty(); }))
-        break;  // window expired with nothing new
-      take();
-    }
-  }
-  return out.size();
-}
-
 bool BoundedQueue::tryPop(Job& out) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (jobs_.empty()) return false;
   out = std::move(jobs_.front());
   jobs_.pop_front();
   return true;
-}
-
-std::size_t BoundedQueue::tryPopMany(std::vector<Job>& out,
-                                     std::size_t max_items) {
-  out.clear();
-  if (max_items == 0) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (!jobs_.empty() && out.size() < max_items) {
-    out.push_back(std::move(jobs_.front()));
-    jobs_.pop_front();
-  }
-  return out.size();
 }
 
 void BoundedQueue::close() {

@@ -22,7 +22,6 @@
 #include <mutex>
 #include <vector>
 
-#include "dadu/platform/clock.hpp"
 #include "dadu/service/request.hpp"
 
 namespace dadu::service {
@@ -59,13 +58,7 @@ enum class PushResult {
 class BoundedQueue {
  public:
   /// `capacity` = maximum queued (not yet popped) jobs; at least 1.
-  /// `clock` parameterizes the popMany linger deadline (null = real
-  /// steady clock).  The blocking waits are only ever exercised with a
-  /// real clock: under the deterministic simulation harness consumers
-  /// use the non-blocking tryPop/tryPopMany and the linger is modeled
-  /// as an executor timer instead of a parked condition variable.
-  explicit BoundedQueue(std::size_t capacity,
-                        const platform::Clock* clock = nullptr);
+  explicit BoundedQueue(std::size_t capacity);
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -78,30 +71,10 @@ class BoundedQueue {
   /// shutdown can drain.
   bool pop(Job& out);
 
-  /// Bulk pop: block exactly like pop() until at least one job is
-  /// available (or the queue is closed and drained — returns 0), then
-  /// move up to `max_items` jobs into `out` in FIFO order.  The whole
-  /// burst happens under ONE lock acquisition instead of one per item.
-  /// If fewer than `max_items` are on hand and `max_wait` is positive,
-  /// lingers up to that long for stragglers (the Nagle-style
-  /// coalescing window), taking arrivals as they land and returning
-  /// early once full or closed.  A woken consumer always consumes, so
-  /// popMany never strands a producer's notify while work is queued.
-  /// `out` is cleared first; the return value is out.size().
-  std::size_t popMany(std::vector<Job>& out, std::size_t max_items,
-                      std::chrono::microseconds max_wait);
-
   /// Non-blocking pop: false when the queue is momentarily empty (or
   /// closed and drained) — never waits.  The cooperative-executor
   /// consumers' spelling of pop().
   bool tryPop(Job& out);
-
-  /// Non-blocking bulk pop: move up to `max_items` immediately
-  /// available jobs into `out` (cleared first), FIFO, one lock for the
-  /// burst.  Returns out.size(); 0 when nothing is queued.  Never
-  /// waits — the cooperative-executor spelling of popMany(), with the
-  /// linger window modeled by the caller's scheduler.
-  std::size_t tryPopMany(std::vector<Job>& out, std::size_t max_items);
 
   /// Stop accepting pushes and wake every blocked consumer.  Queued
   /// jobs remain poppable.  Idempotent.
@@ -117,7 +90,6 @@ class BoundedQueue {
 
  private:
   const std::size_t capacity_;
-  const platform::Clock* clock_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Job> jobs_;

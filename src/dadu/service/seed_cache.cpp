@@ -111,78 +111,6 @@ bool SeedCache::lookup(const linalg::Vec3& target, linalg::VecX& seed) const {
   return found;
 }
 
-std::size_t SeedCache::lookupMany(const linalg::Vec3* targets,
-                                  std::size_t count, linalg::VecX* seeds,
-                                  unsigned char* hits) const {
-  if (count == 0) return 0;
-
-  double init_d2 = config_.max_distance * config_.max_distance;
-  init_d2 = std::nextafter(init_d2, init_d2 + 1.0);
-  std::vector<double> best_d2(count, init_d2);
-  // Rank of the probe that supplied each query's current best — the
-  // cell's position in lookup()'s (dx, dy, dz) probe order.  Probes
-  // here execute in shard order instead, so on an exact-distance tie
-  // between entries in different cells the rank decides, reproducing
-  // "first probed cell wins" exactly.  (Within one cell, strict < on
-  // d2 already keeps the earliest entry, as probeCell does.)
-  constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
-  std::vector<std::uint32_t> best_rank(count, kNoRank);
-  for (std::size_t q = 0; q < count; ++q) hits[q] = 0;
-
-  // Bucket every (query, cell) probe by the shard that owns the cell.
-  struct Probe {
-    CellCoord coord;
-    std::uint32_t query;
-    std::uint32_t rank;
-  };
-  std::vector<std::vector<Probe>> by_shard(shards_.size());
-  for (std::size_t q = 0; q < count; ++q) {
-    const CellCoord home = cellOf(targets[q]);
-    std::uint32_t rank = 0;
-    const auto add = [&](const CellCoord& c) {
-      by_shard[cellHash(c) % shards_.size()].push_back(
-          {c, static_cast<std::uint32_t>(q), rank++});
-    };
-    if (config_.search_neighbors) {
-      for (std::int64_t dx = -1; dx <= 1; ++dx)
-        for (std::int64_t dy = -1; dy <= 1; ++dy)
-          for (std::int64_t dz = -1; dz <= 1; ++dz)
-            add({home.ix + dx, home.iy + dy, home.iz + dz});
-    } else {
-      add(home);
-    }
-  }
-
-  // One lock per shard per burst; inside, the per-entry tightening is
-  // exactly probeCell's, plus the rank tie-break.
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const Probe& probe : by_shard[s]) {
-      const auto it = shard.cells.find(probe.coord);
-      if (it == shard.cells.end()) continue;
-      for (const Entry& e : it->second.entries) {
-        const double d2 = (e.target - targets[probe.query]).squaredNorm();
-        if (d2 < best_d2[probe.query] ||
-            (d2 == best_d2[probe.query] &&
-             probe.rank < best_rank[probe.query])) {
-          best_d2[probe.query] = d2;
-          best_rank[probe.query] = probe.rank;
-          seeds[probe.query] = e.theta;
-          hits[probe.query] = 1;
-        }
-      }
-    }
-  }
-
-  std::size_t hit_count = 0;
-  for (std::size_t q = 0; q < count; ++q) hit_count += hits[q];
-  hits_.fetch_add(hit_count, std::memory_order_relaxed);
-  misses_.fetch_add(count - hit_count, std::memory_order_relaxed);
-  return hit_count;
-}
-
 void SeedCache::insert(const linalg::Vec3& target, const linalg::VecX& theta) {
   const CellCoord coord = cellOf(target);
   Shard& shard = shardFor(coord);

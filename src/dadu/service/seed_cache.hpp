@@ -80,19 +80,6 @@ class SeedCache {
   /// writes it to `seed` and returns true on a hit.  Thread-safe.
   bool lookup(const linalg::Vec3& target, linalg::VecX& seed) const;
 
-  /// Batched lookup for a coalesced request burst: the probes of all
-  /// `count` targets are bucketed by shard first, then each shard's
-  /// mutex is taken ONCE per burst (instead of once per cell probe per
-  /// request — up to 27x count acquisitions).  On a hit, seeds[i]
-  /// receives the nearest entry for targets[i] and hits[i] is set to 1,
-  /// else 0.  Returns the number of hits.  Results match `count`
-  /// individual lookup() calls against the same snapshot exactly,
-  /// including exact-distance ties: probes execute shard-major here,
-  /// but a per-probe rank reproduces lookup()'s cell probe order for
-  /// tie-breaks.  Thread-safe.
-  std::size_t lookupMany(const linalg::Vec3* targets, std::size_t count,
-                         linalg::VecX* seeds, unsigned char* hits) const;
-
   /// Record a converged solution for `target`.  Thread-safe.
   void insert(const linalg::Vec3& target, const linalg::VecX& theta);
 

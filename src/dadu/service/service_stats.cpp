@@ -26,8 +26,6 @@ obs::MetricsSnapshot toMetricsSnapshot(const ServiceStats& stats) {
           static_cast<std::uint64_t>(stats.total_fk_evaluations));
   counter("speculation_load",
           static_cast<std::uint64_t>(stats.total_speculation_load));
-  counter("batches", stats.batches);
-  counter("batched_lanes", stats.batched_lanes);
   counter("cache_hits", stats.cache_hits);
   counter("cache_misses", stats.cache_misses);
   counter("cache_inserts", stats.cache_inserts);
@@ -41,16 +39,19 @@ obs::MetricsSnapshot toMetricsSnapshot(const ServiceStats& stats) {
       {"dadu_service_mean_iterations", stats.meanIterations(), "iters"});
   snap.gauges.push_back({"dadu_service_breaker_state",
                          static_cast<double>(stats.breaker.state), "state"});
+  // Requests per dispatch: every worker step takes one request, so
+  // this reads 1 once anything has been dispatched.  Still exported
+  // because the ikbench wire workload reads it from the stats dump.
+  const bool dispatched =
+      stats.solved + stats.deadline_expired + stats.internal_errors > 0;
   snap.gauges.push_back({"dadu_service_batch_mean_occupancy",
-                         stats.meanBatchOccupancy(), "requests"});
+                         dispatched ? 1.0 : 0.0, "requests"});
 
   snap.histograms.push_back(
       {"dadu_service_queue_ms", stats.queue_hist, "ms"});
   snap.histograms.push_back(
       {"dadu_service_solve_ms", stats.solve_hist, "ms"});
   snap.histograms.push_back({"dadu_service_e2e_ms", stats.e2e_hist, "ms"});
-  snap.histograms.push_back({"dadu_service_batch_occupancy",
-                             stats.batch_occupancy_hist, "requests"});
   return snap;
 }
 

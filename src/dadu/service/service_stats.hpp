@@ -45,17 +45,10 @@ struct ServiceStats {
   double total_queue_ms = 0.0;
   double total_solve_ms = 0.0;
 
-  // Batched dispatch (zero when the service runs per-request).
-  std::uint64_t batches = 0;        ///< coalesced bursts dispatched
-  std::uint64_t batched_lanes = 0;  ///< requests carried by those bursts
-
   // Latency distributions (solved requests; end-to-end = queue + solve).
   obs::HistogramSnapshot queue_hist;
   obs::HistogramSnapshot solve_hist;
   obs::HistogramSnapshot e2e_hist;
-  /// Requests per coalesced burst (batched dispatch only): occupancy
-  /// p50 pinned at 1 under load means coalescing is not engaging.
-  obs::HistogramSnapshot batch_occupancy_hist;
 
   // Overload circuit breaker (mirrored from CircuitBreaker::snapshot()).
   CircuitBreakerSnapshot breaker;
@@ -91,12 +84,6 @@ struct ServiceStats {
     return solved == 0
                ? 0.0
                : static_cast<double>(converged) / static_cast<double>(solved);
-  }
-  double meanBatchOccupancy() const {
-    return batches == 0
-               ? 0.0
-               : static_cast<double>(batched_lanes) /
-                     static_cast<double>(batches);
   }
 };
 

@@ -43,7 +43,7 @@ ik::SolveResult ModelSolver::solve(const linalg::Vec3& target,
 
   ++solves_;
   // Same contract as the real solvers' iteration head: kError aborts
-  // the solve (captured per lane by solveMany), kDelay charges time.
+  // the solve (the service's internal-error path), kDelay charges time.
   fault::inject("solver.iterate", clock());
 
   // Outcome and cost from this solver's private stream — the draws are

@@ -1,7 +1,7 @@
 // ModelSolver: a statistical stand-in for a real IK solver.
 //
 // The simulation harness wants to push millions of requests through
-// the *serving* stack — admission, batching, deadlines, the breaker,
+// the *serving* stack — admission, deadlines, the breaker,
 // the wire protocol — and none of that cares what the joint angles
 // are.  A real Quick-IK solve costs hundreds of microseconds of FK
 // math; at a million requests that is minutes of wall time spent
@@ -21,9 +21,7 @@
 //     charges virtual time, kError throws mid-solve);
 //   - setDeadline() is honoured: a modeled solve that would overrun
 //     its deadline stops *at* the deadline with Status::kTimedOut and
-//     pro-rata iterations — the cooperative watchdog, modeled;
-//   - solveMany() is inherited from the base sequential loop, so
-//     per-lane deadlines and per-lane error capture work unchanged.
+//     pro-rata iterations — the cooperative watchdog, modeled.
 //
 // Determinism: outcomes depend only on the config seed and the call
 // order, and the sim's call order is fixed by the SimExecutor seed.

@@ -295,12 +295,10 @@ ScenarioConfig presetScenario(const std::string& name) {
     return cfg;
   }
   if (name == "burst") {
-    // Bursty arrivals against the batch coalescer: 16-deep trains with
-    // long gaps, same average load as baseline.
+    // Bursty arrivals: 16-deep trains with long gaps that back the
+    // queue up, same average load as baseline.
     cfg.burst_size = 16;
     cfg.mean_interarrival_us = 64000.0;
-    cfg.max_batch = 16;
-    cfg.batch_wait_us = 300;
     return cfg;
   }
   if (name == "chaos") {
@@ -368,14 +366,12 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   }
 
   result.trace.record(0, "run scenario=%s seed=%llu requests=%llu "
-                         "clients=%llu workers=%llu batch=%llu wait=%u",
+                         "clients=%llu workers=%llu",
                       cfg.name.c_str(),
                       static_cast<unsigned long long>(cfg.seed),
                       static_cast<unsigned long long>(cfg.requests),
                       static_cast<unsigned long long>(cfg.clients),
-                      static_cast<unsigned long long>(cfg.workers),
-                      static_cast<unsigned long long>(cfg.max_batch),
-                      cfg.batch_wait_us);
+                      static_cast<unsigned long long>(cfg.workers));
 
   service::ServiceConfig scfg;
   scfg.workers = std::max<std::size_t>(cfg.workers, 1);
@@ -383,8 +379,6 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   scfg.enable_seed_cache = cfg.enable_seed_cache;
   scfg.stat_shards = 1;
   scfg.breaker = cfg.breaker;
-  scfg.max_batch = cfg.max_batch;
-  scfg.batch_wait_us = cfg.batch_wait_us;
   scfg.clock = &clock;
   scfg.executor = &exec;
   const std::uint64_t seed = cfg.seed;

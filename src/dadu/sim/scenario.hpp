@@ -3,7 +3,7 @@
 // A scenario stands up the full serving pipeline — N simulated clients
 // -> SimTransport byte pipes -> SimServer (real wire codec, real
 // validation) -> IkService in cooperative executor mode (real
-// admission control, deadlines, breaker, batching) -> ModelSolver —
+// admission control, deadlines, breaker) -> ModelSolver —
 // on a SimClock + SimExecutor, drives a workload through it, and
 // checks the conservation invariants the production stack promises:
 //
@@ -44,9 +44,9 @@ struct ScenarioConfig {
 
   /// Robot specs hosted by the one simulated server.  Spec s gets a
   /// serpentine chain of dof + 2*s joints behind its own service lane
-  /// (registry::SpecRouter), so fused batches stay spec-pure by
-  /// construction.  1 = the classic single-spec stack (no router in
-  /// the path, byte-identical to historical runs).
+  /// (registry::SpecRouter), so a request is only ever solved against
+  /// its own spec's chain.  1 = the classic single-spec stack (no
+  /// router in the path).
   std::size_t specs = 1;
   /// Fraction of requests stamped with an unregistered spec id.  The
   /// server answers each with kUnknownSpec, the connection survives,
@@ -57,8 +57,6 @@ struct ScenarioConfig {
   // the per-lane shape — every lane gets `workers` workers, its own
   // queue and its own seed cache, like one single-spec server each).
   std::size_t queue_capacity = 256;
-  std::size_t max_batch = 8;
-  std::uint32_t batch_wait_us = 200;
   bool enable_seed_cache = true;
   service::CircuitBreakerConfig breaker;
 
@@ -66,7 +64,7 @@ struct ScenarioConfig {
   // back-to-back bursts.  NOTE: virtual time is single-core — solves
   // serialize on the one simulated timeline — so sustainable load is
   // ~1/mean_solve_cost regardless of `workers` (workers still matter
-  // for batching and interleaving semantics).
+  // for interleaving semantics).
   double mean_interarrival_us = 4000.0;
   /// A client whose connection dies redials after this long (0 = stay
   /// dead; remaining quota becomes `unsent`).

@@ -1,7 +1,7 @@
 // Seeded deterministic task scheduler: the sim's only "thread".
 //
 // Every deferred action in a simulation — a client's next arrival, a
-// worker's dispatch step, a linger-window timer, a frame delivery — is
+// worker's dispatch step, a reconnect timer, a frame delivery — is
 // a task in one priority queue keyed (due time, seeded jitter,
 // sequence number).  runOne() pops the earliest task, advances the
 // SimClock to its due instant, and runs it; drain() repeats until the

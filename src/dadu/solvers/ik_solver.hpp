@@ -6,8 +6,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstddef>
-#include <exception>
 #include <memory>
 #include <string>
 
@@ -19,30 +17,6 @@
 
 namespace dadu::ik {
 
-/// One request's slot in a multi-target solveMany() call.  `seed` is
-/// borrowed — the caller keeps it alive for the duration of the call.
-struct BatchLane {
-  linalg::Vec3 target;
-  const linalg::VecX* seed = nullptr;
-  /// Per-lane cooperative watchdog deadline; the default (the epoch)
-  /// means unbounded, mirroring SolveOptions::deadline.
-  std::chrono::steady_clock::time_point deadline{};
-};
-
-/// Outcome of one solveMany() lane.
-struct BatchLaneResult {
-  SolveResult result;
-  /// Wall time attributed to this lane in milliseconds.  The looping
-  /// fallback times each lane's own solve; a fused implementation
-  /// reports time from batch start to lane retirement (the latency the
-  /// lane's caller actually observed).
-  double solve_ms = 0.0;
-  /// Set when the lane failed instead of producing a result (invalid
-  /// inputs, injected fault).  Failures are per lane: batchmates still
-  /// complete normally.
-  std::exception_ptr error;
-};
-
 class IkSolver {
  public:
   virtual ~IkSolver() = default;
@@ -52,18 +26,6 @@ class IkSolver {
   /// target.
   virtual SolveResult solve(const linalg::Vec3& target,
                             const linalg::VecX& seed) = 0;
-
-  /// Solve `n` independent lanes.  Per-lane semantics are identical to
-  /// calling setDeadline(lanes[i].deadline) + solve(...) per lane —
-  /// same statuses, same thetas bit-for-bit — but implementations may
-  /// fuse the lanes into shared batched kernels to amortize per-solve
-  /// overhead (QuickIkSolver runs all lanes' speculation sweeps through
-  /// one grouped SoA chain walk).  Exceptions are captured per lane
-  /// into BatchLaneResult::error, never thrown, so one bad request
-  /// cannot poison its batchmates.  The base implementation is the
-  /// sequential loop; it leaves the solver's watchdog deadline cleared.
-  virtual void solveMany(const BatchLane* lanes, BatchLaneResult* out,
-                         std::size_t n);
 
   /// Stable identifier ("jt-serial", "quick-ik", ...) used by benches
   /// and reports.
@@ -77,10 +39,9 @@ class IkSolver {
   virtual void setDeadline(std::chrono::steady_clock::time_point) {}
 
   /// Point the solver at a Clock (null = real steady clock).  Watchdog
-  /// deadline checks and solveMany per-lane timing read this clock, so
-  /// a solver handed a SimClock times out and stamps latencies on
-  /// simulated time.  Owned by the caller; must outlive the solver's
-  /// use of it.
+  /// deadline checks read this clock, so a solver handed a SimClock
+  /// times out on simulated time.  Owned by the caller; must outlive
+  /// the solver's use of it.
   void setClock(const platform::Clock* clock) { clock_ = clock; }
   const platform::Clock* clock() const { return clock_; }
 

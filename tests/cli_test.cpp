@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dadu/cli/cli.hpp"
 
@@ -262,6 +264,32 @@ TEST(Cli, ServeRejectsDuplicateRobotNames) {
                          "arm=planar:5", "--port", "0"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("duplicate"), std::string::npos);
+}
+
+TEST(Cli, RejectsRemovedBatchFlag) {
+  // A deploy script still passing a retired batching flag must fail
+  // loudly, naming the flag, on every command that once read it.
+  const std::vector<std::vector<std::string>> calls = {
+      {"serve", "--robot", "planar:6", "--port", "0", "--batch-wait-us", "100"},
+      {"serve-bench", "--robot", "serpentine:10", "--batch-wait-us", "100"},
+      {"stats", "--robot", "serpentine:10", "--batch-wait-us", "100"},
+      {"sim", "--scenario", "burst", "--batch-wait-us", "100"},
+  };
+  for (const auto& args : calls) {
+    const auto r = runCli(args);
+    EXPECT_EQ(r.code, 2) << args[0];
+    EXPECT_EQ(r.out.find("listening on"), std::string::npos) << args[0];
+    const std::string& flag = args[args.size() - 2];
+    EXPECT_NE(r.err.find(flag), std::string::npos) << args[0] << ": " << r.err;
+  }
+}
+
+TEST(Cli, RejectsMisspeltOption) {
+  const auto r = runCli({"solve", "--robot", "planar:4", "--target",
+                         "0.5,0.5,0", "--max-iters", "10"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("--max-iters"), std::string::npos) << r.err;
+  EXPECT_EQ(r.out.find("status:"), std::string::npos);
 }
 
 TEST(Cli, SimMultispecPresetRunsCleanly) {

@@ -20,6 +20,7 @@
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/service/ik_service.hpp"
 #include "dadu/solvers/factory.hpp"
+#include "dadu/solvers/jt_serial.hpp"
 #include "dadu/solvers/quick_ik.hpp"
 #include "dadu/workload/targets.hpp"
 
@@ -105,15 +106,36 @@ TEST(FailureInjection, AcceleratorValidatesLikeSoftware) {
 }
 
 TEST(FailureInjection, SingleJointChainWorks) {
-  const kin::Chain tiny({kin::revolute({0.5, 0, 0, 0})}, "one-joint");
+  constexpr double kRadius = 0.5;
+  const kin::Chain tiny({kin::revolute({kRadius, 0, 0, 0})}, "one-joint");
   SolveOptions options;
   options.max_iterations = 500;
-  for (const char* name : {"jt-serial", "quick-ik", "pinv-svd", "ccd"}) {
+  // Reachable: the circle of radius 0.5 about the base z axis.
+  const linalg::Vec3 target{0.0, kRadius, 0.0};
+  const linalg::VecX seed(1, 0.3);
+  for (const char* name : {"quick-ik", "pinv-svd", "ccd"}) {
     const auto solver = makeSolver(name, tiny, options);
-    // Reachable: the circle of radius 0.5 about the base z axis.
-    const auto r = solver->solve({0.0, 0.5, 0.0}, linalg::VecX(1, 0.3));
-    EXPECT_TRUE(r.converged()) << name;
+    EXPECT_TRUE(solver->solve(target, seed).converged()) << name;
   }
+
+  // Fixed-gain JT on one joint: alpha = gain_c / r^2, so the update's
+  // slope at the solution is 1 - alpha * r^2 = 1 - gain_c.  gain_c = 1
+  // is the stable choice (slope 0, Newton-rate convergence).
+  JtSerialSolver stable(tiny, options, /*gain_c=*/1.0);
+  EXPECT_TRUE(stable.solve(target, seed).converged());
+
+  // The default gain_c = 4 puts the slope at -3: the fixed point is
+  // unstable and the orbit only lands in the accuracy ball by chance,
+  // so convergence is not asserted.  What must hold is that the
+  // iterate stays finite and bounded — each step moves theta by at
+  // most alpha * r * (2r), and the error never exceeds the diameter.
+  JtSerialSolver unstable(tiny, options);
+  EXPECT_DOUBLE_EQ(1.0 - unstable.alpha() * kRadius * kRadius, -3.0);
+  const SolveResult r = unstable.solve(target, seed);
+  expectFinite(r.theta);
+  const double max_step = unstable.alpha() * kRadius * 2.0 * kRadius;
+  EXPECT_LE(std::abs(r.theta[0] - seed[0]), max_step * options.max_iterations);
+  EXPECT_LE(r.error, 2.0 * kRadius);
 }
 
 TEST(FailureInjection, TargetEqualsCurrentPoseConvergesInstantly) {

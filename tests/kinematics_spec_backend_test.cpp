@@ -1,9 +1,8 @@
 // Speculation-backend tests: registry/dispatch sanity, bit-exact
 // parity of every carried wide backend (AVX2, AVX-512) against the
 // scalar reference across DOF x K grids — revolute and prismatic
-// chains, clamped and free, ragged lane ranges, grouped sweeps — the
-// walk-slicing cache seam, and solver-level identity at K > the fused
-// budget.
+// chains, clamped and free, ragged lane ranges, grouped sweeps — and
+// the walk-slicing cache seam.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,8 +15,6 @@
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/kinematics/presets.hpp"
-#include "dadu/solvers/quick_ik.hpp"
-#include "dadu/workload/targets.hpp"
 
 namespace dadu {
 namespace {
@@ -277,42 +274,6 @@ TEST(SpecBackendSlicing, WalksNeverExceedFusedBudget) {
       EXPECT_EQ(batch.position(k), grouped.position(k)) << "lane " << k;
       EXPECT_EQ(batch.errors()[k], grouped.errors()[k]);
     }
-  }
-}
-
-// Solver-level regression for the chunk-sizing defect: a K=512 burst
-// (K far above the fused budget) through solveMany must produce
-// bit-identical results to per-lane solve() calls, and the kernel must
-// have sliced every walk to the budget.
-TEST(SpecBackendSlicing, SolveManyAtK512MatchesPerLaneSolves) {
-  const auto chain = kin::makeSerpentine(20);
-  ik::SolveOptions options;
-  options.speculations = 512;
-  options.max_iterations = 12;
-
-  ik::QuickIkSolver batched(chain, options,
-                            ik::QuickIkSolver::Execution::kSerial);
-  ik::QuickIkSolver single(chain, options,
-                           ik::QuickIkSolver::Execution::kSerial);
-
-  constexpr std::size_t kLanes = 5;
-  std::vector<workload::IkTask> tasks;
-  std::vector<ik::BatchLane> lanes;
-  for (std::size_t i = 0; i < kLanes; ++i)
-    tasks.push_back(workload::generateTask(chain, static_cast<int>(i)));
-  for (std::size_t i = 0; i < kLanes; ++i)
-    lanes.push_back({tasks[i].target, &tasks[i].seed, {}});
-
-  std::vector<ik::BatchLaneResult> out(kLanes);
-  batched.solveMany(lanes.data(), out.data(), kLanes);
-
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    ASSERT_FALSE(out[i].error) << "lane " << i;
-    const ik::SolveResult ref = single.solve(tasks[i].target, tasks[i].seed);
-    EXPECT_EQ(out[i].result.status, ref.status) << "lane " << i;
-    EXPECT_EQ(out[i].result.iterations, ref.iterations);
-    EXPECT_EQ(out[i].result.error, ref.error);
-    EXPECT_EQ(out[i].result.theta, ref.theta) << "bit-identical required";
   }
 }
 

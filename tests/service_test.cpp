@@ -13,17 +13,21 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "dadu/obs/sink.hpp"
 
+#include "dadu/fault/fault.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/service/ik_service.hpp"
 #include "dadu/service/queue.hpp"
 #include "dadu/service/request.hpp"
 #include "dadu/service/seed_cache.hpp"
+#include "dadu/sim/sim_clock.hpp"
+#include "dadu/sim/sim_executor.hpp"
 #include "dadu/solvers/factory.hpp"
 #include "dadu/workload/targets.hpp"
 
@@ -781,6 +785,136 @@ TEST(IkServiceTest, CacheEvictionsSurfaceInStats) {
   const auto stats = svc.stats();
   ASSERT_GT(stats.cache_inserts, 1u);  // every converged solve inserts
   EXPECT_EQ(stats.cache_evictions, stats.cache_inserts - 1);
+}
+
+/// Cache-free request for generated task `index`: every run of the
+/// same index is the same solve.
+Request taskRequest(const kin::Chain& chain, std::uint32_t index) {
+  const auto task = workload::generateTask(chain, static_cast<int>(index));
+  return {.target = task.target, .seed = task.seed, .use_seed_cache = false};
+}
+
+TEST(IkServiceTest, QueueExpiredDeadlineDropsOnlyItsOwnRequest) {
+  // All 8 requests are queued before the one cooperative worker takes
+  // its first step, and a virtual 80ms stall at the first pickup
+  // expires the two 5ms-deadline requests while they wait.  Only those
+  // two drop; their queue neighbours still solve.  The stall charges
+  // the SimClock, so there are no sleeps and no timing margins.
+  const auto chain = kin::makeSerpentine(8);
+  sim::SimClock clock;
+  sim::SimExecutor exec(clock, 1);
+  ServiceConfig config = smallConfig(1, 16);
+  config.stat_shards = 1;
+  config.clock = &clock;
+  config.executor = &exec;
+  IkService svc([&] { return ik::makeSolver("quick-ik", chain, {}); }, config);
+
+  fault::FaultPlan plan;
+  plan.delayAt("service.worker.stall", 80.0, {.nth = 1});
+  fault::ScopedFaultPlan armed(plan);
+
+  std::vector<Response> responses(8);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    Request request = taskRequest(chain, i);
+    if (i == 2 || i == 5) request.deadline_ms = 5.0;  // expires in the stall
+    svc.submit(std::move(request),
+               [&responses, i](Response r) { responses[i] = std::move(r); });
+  }
+  exec.drain();
+
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    if (i == 2 || i == 5) {
+      EXPECT_EQ(responses[i].status, ResponseStatus::kDeadlineExceeded) << i;
+    } else {
+      EXPECT_EQ(responses[i].status, ResponseStatus::kSolved) << i;
+      EXPECT_TRUE(responses[i].result.converged()) << i;
+    }
+  }
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.deadline_expired, 2u);
+  EXPECT_EQ(stats.solved, 6u);
+  EXPECT_EQ(stats.accounted(), stats.submitted);
+}
+
+TEST(IkServiceTest, InFlightDeadlineTimesOutOnlyItsOwnRequest) {
+  // One request gets an unreachable target, a deadline and a huge
+  // iteration budget: the solver watchdog must end it as kTimedOut with
+  // its best-so-far theta, while the requests queued around it
+  // converge.  Real clock on purpose: the watchdog races real solver
+  // compute against the deadline, which a SimClock cannot advance.
+  const auto chain = kin::makeSerpentine(8);
+  ik::SolveOptions options;
+  options.accuracy = 1e-3;
+  options.max_iterations = 5'000'000;  // deadline, not budget, ends it
+  options.speculations = 8;
+  // Projected descent is exempt from the monotone stall guard, so the
+  // unreachable request grinds at the joint-limit boundary until the
+  // watchdog fires instead of ending early as kStalled.
+  options.clamp_to_limits = true;
+  IkService svc([&] { return ik::makeSolver("quick-ik", chain, options); },
+                smallConfig(1, 16));
+
+  std::vector<std::future<Response>> futures;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    Request request = taskRequest(chain, i);
+    if (i == 3) {
+      request.target = {100.0, 100.0, 100.0};  // far outside the workspace
+      request.deadline_ms = 200.0;
+    }
+    futures.push_back(svc.submit(std::move(request)));
+  }
+
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    const Response r = futures[i].get();
+    EXPECT_EQ(r.status, ResponseStatus::kSolved) << i;
+    if (i == 3) {
+      EXPECT_EQ(r.result.status, ik::Status::kTimedOut);
+      EXPECT_EQ(r.result.theta.size(), chain.dof());  // best-so-far iterate
+    } else {
+      EXPECT_TRUE(r.result.converged()) << i;
+    }
+  }
+  EXPECT_EQ(svc.stats().timed_out, 1u);
+}
+
+TEST(IkServiceTest, InjectedFaultFailsOnlyItsOwnRequest) {
+  // solver.iterate throws once, inside exactly one request's solve:
+  // that request alone comes back Rejected{kInternalError}, every other
+  // request solves, and the terminal accounting balances (exactly one
+  // outcome per request).  Callback path, so the exception never
+  // crosses threads.
+  const auto chain = kin::makeSerpentine(8);
+  IkService svc([&] { return ik::makeSolver("quick-ik", chain, {}); },
+                smallConfig(1, 16));
+
+  fault::FaultPlan plan;
+  plan.errorAt("solver.iterate", "injected request fault", {.nth = 1});
+  fault::ScopedFaultPlan armed(plan);
+
+  constexpr std::uint32_t kRequests = 8;
+  std::vector<CallbackSlot> slots(kRequests);
+  for (std::uint32_t i = 0; i < kRequests; ++i)
+    svc.submit(taskRequest(chain, i), slots[i].completion());
+
+  std::size_t solved = 0, failed = 0;
+  for (CallbackSlot& slot : slots) {
+    const Response r = slot.get();
+    if (r.status == ResponseStatus::kSolved) {
+      ++solved;
+    } else {
+      EXPECT_EQ(r.status, ResponseStatus::kRejected);
+      EXPECT_EQ(r.reject_reason, RejectReason::kInternalError);
+      EXPECT_EQ(r.message, "injected request fault");
+      ++failed;
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(solved, kRequests - 1);
+
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.internal_errors, 1u);
+  EXPECT_EQ(stats.solved, kRequests - 1);
+  EXPECT_EQ(stats.accounted(), stats.submitted);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Whole-stack scenario tests: the sim's reason to exist is that one
 // seed replays an entire serving run — clients, wire protocol, faults,
-// batching, solver outcomes — byte-identically, and that every run
+// dispatch, solver outcomes — byte-identically, and that every run
 // upholds the conservation invariants production promises.  The trace
 // digest is the witness for the first claim; ScenarioResult::ok() for
 // the second.
@@ -93,11 +93,10 @@ TEST(SimScenario, ChaosKillsConnectionsButLosesNothingSilently) {
 
 TEST(SimScenario, BurstKeepsTheCoalescerBusy)
 {
+  // 16-deep trains back the queue up; pop-one dispatch must still
+  // uphold every conservation invariant.
   const ScenarioResult r = runScenario(smallPreset("burst", 5));
   EXPECT_TRUE(r.ok());
-  // 16-deep trains against a 16-lane batch window: mean occupancy must
-  // reflect real coalescing, not per-request dispatch.
-  EXPECT_GT(r.service.meanBatchOccupancy(), 4.0);
 }
 
 TEST(SimScenario, TraceWritesSeedAndDigestTrailer) {

@@ -2,7 +2,7 @@
 // thread pool in production here runs as cooperative tasks on a
 // SimExecutor with a SimClock — no OS threads, no real sleeps, fully
 // deterministic.  These tests pin the executor-mode contract: identical
-// per-request semantics (admission, deadlines, linger, drain/discard)
+// per-request semantics (admission, deadlines, drain/discard)
 // with time that only moves when the simulation says so.
 #include <gtest/gtest.h>
 
@@ -18,8 +18,6 @@
 
 namespace dadu::service {
 namespace {
-
-using namespace std::chrono_literals;
 
 /// A service + sim harness on one stack: clock, executor, service
 /// wired together, completions collected in submit order.
@@ -69,13 +67,6 @@ sim::ModelSolverConfig slowSolver() {
   return cfg;
 }
 
-sim::ModelSolverConfig cheapSolver() {
-  sim::ModelSolverConfig cfg;
-  cfg.iteration_ms = 0.001;  // ~30us per solve: timing noise, not signal
-  cfg.tail_probability = 0.0;
-  return cfg;
-}
-
 TEST(SimService, SpawnsNoThreadsAndSolvesEverything) {
   ServiceConfig cfg;
   cfg.workers = 4;
@@ -119,61 +110,6 @@ TEST(SimService, QueuedDeadlineExpiresOnVirtualTimeAlone) {
   EXPECT_EQ(h.service.stats().deadline_expired, 1u);
 }
 
-TEST(SimService, LingerWindowElapsesInVirtualTime) {
-  // An under-filled burst lingers batch_wait_us for stragglers.  In
-  // executor mode that linger is a postAt timer: a simulated 50ms
-  // window costs 50 *virtual* ms and zero wall sleeps — exactly the
-  // assertion real-sleep tests can only approximate with margins.
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.queue_capacity = 16;
-  cfg.max_batch = 4;
-  cfg.batch_wait_us = 50'000;
-  Harness h(cfg, cheapSolver());
-
-  h.submit(requestAt(0.1, 0.2, 0.3));  // alone: must wait out the window
-  h.exec.drain();
-
-  ASSERT_EQ(h.responses.size(), 1u);
-  EXPECT_EQ(h.responses[0].status, ResponseStatus::kSolved);
-  EXPECT_GE(h.clock.elapsed(), platform::Clock::duration(50ms));
-  // A full burst, by contrast, dispatches without waiting the window:
-  // the whole batch is done long before another 50ms pass.
-  const auto before = h.clock.elapsed();
-  for (int i = 0; i < 4; ++i) h.submit(requestAt(0.2, 0.1 * i, -0.2));
-  h.exec.drain();
-  EXPECT_LT(h.clock.elapsed() - before, platform::Clock::duration(50ms));
-
-  const ServiceStats stats = h.service.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.batched_lanes, 5u);
-}
-
-TEST(SimService, BatchCoalescerFillsBurstsDeterministically) {
-  // Submissions land while the single worker is mid-solve, so the
-  // queue backs up and popMany drains full bursts — occupancy is a
-  // deterministic consequence of the virtual timeline, not of racing
-  // a real worker thread.
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.queue_capacity = 64;
-  cfg.max_batch = 8;
-  cfg.batch_wait_us = 200;
-  Harness h(cfg, slowSolver());
-
-  for (int i = 0; i < 33; ++i)
-    h.submit(requestAt(0.05 * i, -0.3, 0.2));
-  h.exec.drain();
-
-  const ServiceStats stats = h.service.stats();
-  EXPECT_EQ(stats.solved, 33u);
-  EXPECT_EQ(stats.batched_lanes, 33u);
-  // First pickup grabs what's there; once the worker is busy solving,
-  // every later burst is a full 8: 33 = first + 4 * 8.
-  EXPECT_EQ(stats.batches, 5u);
-  EXPECT_GE(stats.batch_occupancy_hist.p99(), 7.0);
-}
-
 TEST(SimService, DiscardStopRejectsQueuedWorkInline) {
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -210,8 +146,6 @@ TEST(SimService, IdenticalRunsProduceBitIdenticalResponses) {
     ServiceConfig cfg;
     cfg.workers = 2;
     cfg.queue_capacity = 32;
-    cfg.max_batch = 4;
-    cfg.batch_wait_us = 100;
     Harness h(cfg, {}, 77);
     for (int i = 0; i < 24; ++i) {
       Request r = requestAt(0.07 * i, -0.02 * i, 0.15);

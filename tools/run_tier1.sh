@@ -28,10 +28,9 @@
 # are all concurrent — with:
 #
 #   cmake -B build-tsan -S . -DDADU_SANITIZE=thread -DDADU_BUILD_BENCH=OFF
-#   cmake --build build-tsan -j --target service_test service_batch_test \
-#       service_stress_test parallel_test
+#   cmake --build build-tsan -j --target service_test service_stress_test \
+#       parallel_test
 #   ./build-tsan/tests/service_test
-#   ./build-tsan/tests/service_batch_test
 #   ./build-tsan/tests/service_stress_test
 #   ./build-tsan/tests/parallel_test
 set -euo pipefail
@@ -53,7 +52,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 # depend on the host ISA.
 "${build_dir}/tests/kinematics_spec_backend_test"
 for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
-    kinematics_sincos_test solvers_quick_ik_test service_batch_test; do
+    kinematics_sincos_test solvers_quick_ik_test; do
   DADU_SPEC_BACKEND=scalar "${build_dir}/tests/${suite}"
 done
 echo "spec backend parity gate: ok (dispatched + forced-scalar legs)"
@@ -78,16 +77,14 @@ echo "sim determinism gate: ok ($(grep -c '' "${sim_dir}/a.trace") trace lines i
 # Optional perf-trajectory step: DADU_RUN_BENCH=1 runs the wire-level
 # load generator (64 pipelined TCP connections against a loopback
 # IkServer) and leaves BENCH_net.json next to the build dir for later
-# PRs to diff against.  --require-batched doubles as the batching
-# smoke: the run fails unless queue coalescing actually engaged (mean
-# batch occupancy > 1).
+# PRs to diff against.
 if [[ "${DADU_RUN_BENCH:-0}" == "1" ]]; then
-  "${build_dir}/bench/net_throughput" --quick --require-batched \
+  "${build_dir}/bench/net_throughput" --quick \
     --json "${build_dir}/BENCH_net.json"
   # Multi-spec leg: the same load split evenly across two registry
   # specs behind one server.  Per-spec req/s is appended to the JSON
   # (net_requests_per_sec_spec<k>) so regressions in the routing layer
   # show up as a per-lane throughput drop at equal per-spec load.
   "${build_dir}/bench/net_throughput" --quick --spec-mix 2 \
-    --require-batched --json-append "${build_dir}/BENCH_net.json"
+    --json-append "${build_dir}/BENCH_net.json"
 fi
