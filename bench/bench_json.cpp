@@ -54,6 +54,14 @@ std::string sourceCommit() {
   return "unknown";
 }
 
+void writeHeaderRecord(std::ostream& out, const RunHeader& header) {
+  out << "  {\"header\": {\"nproc\": " << header.nproc
+      << ", \"spec_backend\": \"" << jsonEscape(header.spec_backend)
+      << "\", \"build_type\": \"" << jsonEscape(header.build_type)
+      << "\", \"commit\": \"" << jsonEscape(header.commit)
+      << "\", \"command\": \"" << jsonEscape(header.command) << "\"}}";
+}
+
 }  // namespace
 
 RunHeader currentRunHeader(int argc, char** argv) {
@@ -71,12 +79,9 @@ bool writeKernelJson(const std::string& path, const RunHeader& header,
                      const std::vector<KernelRecord>& records) {
   std::ofstream out(path);
   if (!out) return false;
-  out << "[\n  {\"header\": {\"nproc\": " << header.nproc
-      << ", \"spec_backend\": \"" << jsonEscape(header.spec_backend)
-      << "\", \"build_type\": \"" << jsonEscape(header.build_type)
-      << "\", \"commit\": \"" << jsonEscape(header.commit)
-      << "\", \"command\": \"" << jsonEscape(header.command) << "\"}}"
-      << (records.empty() ? "" : ",") << "\n";
+  out << "[\n";
+  writeHeaderRecord(out, header);
+  out << (records.empty() ? "" : ",") << "\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];
     out << "  {\"kernel\": \"" << r.kernel << "\", \"dof\": " << r.dof
@@ -89,26 +94,29 @@ bool writeKernelJson(const std::string& path, const RunHeader& header,
   return out.good();
 }
 
-bool writeMetricsJson(const std::string& path,
+bool writeMetricsJson(const std::string& path, const RunHeader& header,
                       const std::vector<MetricRecord>& records) {
   std::ofstream out(path);
   if (!out) return false;
   out << "[\n";
+  writeHeaderRecord(out, header);
+  out << (records.empty() ? "" : ",") << "\n";
   writeMetricRecords(out, records);
   out << "]\n";
   return out.good();
 }
 
-bool appendMetricsJson(const std::string& path,
+bool appendMetricsJson(const std::string& path, const RunHeader& header,
                        const std::vector<MetricRecord>& records) {
   std::ifstream in(path);
-  if (!in) return writeMetricsJson(path, records);
+  if (!in) return writeMetricsJson(path, header, records);
   std::ostringstream buf;
   buf << in.rdbuf();
   in.close();
   std::string existing = buf.str();
   const std::size_t close = existing.rfind(']');
-  if (close == std::string::npos) return writeMetricsJson(path, records);
+  if (close == std::string::npos)
+    return writeMetricsJson(path, header, records);
   existing.erase(close);
   // Trim trailing whitespace so the comma lands right after the last
   // record, keeping the file diff-stable with writeMetricsJson output.
@@ -119,9 +127,9 @@ bool appendMetricsJson(const std::string& path,
 
   std::ofstream out(path);
   if (!out) return false;
-  out << existing;
-  if (had_records && !records.empty()) out << ",";
-  out << "\n";
+  out << existing << (had_records ? "," : "") << "\n";
+  writeHeaderRecord(out, header);
+  out << (records.empty() ? "" : ",") << "\n";
   writeMetricRecords(out, records);
   out << "]\n";
   return out.good();

@@ -2,7 +2,9 @@
 // performance trajectory files future PRs diff against.
 //   BENCH_kernels.json — a {"header": {...}} provenance record, then
 //                        {"kernel", "dof", "k", "ns_per_op"} records
-//   BENCH_service.json — array of {"metric", "value", "unit"}
+//   BENCH_service.json, BENCH_net.json — a {"header": {...}} record,
+//                        then {"metric", "value", "unit"} records (an
+//                        appended leg adds its own header first)
 #pragma once
 
 #include <string>
@@ -22,8 +24,8 @@ struct KernelRecord {
   std::string note;
 };
 
-/// Where and how a set of kernel records was measured; written as the
-/// leading record of BENCH_kernels.json.
+/// Where and how a set of records was measured; written as the record
+/// ahead of them in every BENCH_*.json.
 struct RunHeader {
   unsigned nproc = 0;        ///< hardware threads
   std::string spec_backend;  ///< dispatched speculation backend
@@ -49,16 +51,16 @@ struct MetricRecord {
   std::string unit;    ///< "solves/s", "ms", "ratio", "iters", ...
 };
 
-/// Write `records` to `path` as pretty-printed JSON.  Returns false if
-/// the file cannot be written.
-bool writeMetricsJson(const std::string& path,
+/// Write `header` and then `records` to `path` as pretty-printed JSON.
+/// Returns false if the file cannot be written.
+bool writeMetricsJson(const std::string& path, const RunHeader& header,
                       const std::vector<MetricRecord>& records);
 
-/// Append `records` to an existing metrics JSON file written by
-/// writeMetricsJson (splices before the closing bracket), so multiple
-/// bench legs can share one BENCH_*.json.  Falls back to a plain write
-/// when `path` does not exist or is not a metrics array.
-bool appendMetricsJson(const std::string& path,
+/// Append `header` and `records` to an existing metrics JSON file
+/// written by writeMetricsJson (splices before the closing bracket), so
+/// multiple bench legs can share one BENCH_*.json.  Falls back to a
+/// plain write when `path` does not exist or is not a metrics array.
+bool appendMetricsJson(const std::string& path, const RunHeader& header,
                        const std::vector<MetricRecord>& records);
 
 }  // namespace bench

@@ -286,9 +286,11 @@ int main(int argc, char** argv) {
                        static_cast<double>(spec_replies[s]) / (wall_ms / 1000.0),
                        "req/s"});
     }
-    const bool wrote = opt.json_append
-                           ? bench::appendMetricsJson(opt.json_path, all)
-                           : bench::writeMetricsJson(opt.json_path, all);
+    const bench::RunHeader header = bench::currentRunHeader(argc, argv);
+    const bool wrote =
+        opt.json_append
+            ? bench::appendMetricsJson(opt.json_path, header, all)
+            : bench::writeMetricsJson(opt.json_path, header, all);
     if (!wrote) {
       std::cerr << "cannot write " << opt.json_path << '\n';
       return 1;

@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
     histRecords("service_solve", off.stats.solve_hist, "_cache_off");
     histRecords("service_queue", paced_on.stats.queue_hist, "_cache_on");
     histRecords("service_solve", on.stats.solve_hist, "_cache_on");
-    if (!bench::writeMetricsJson(json_path, records)) {
+    if (!bench::writeMetricsJson(
+            json_path, bench::currentRunHeader(argc, argv), records)) {
       std::cerr << "error: cannot write " << json_path << "\n";
       return 1;
     }

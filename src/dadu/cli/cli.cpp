@@ -437,8 +437,8 @@ void onStopSignal(int signum) {
 }
 
 /// `dadu serve`: bind the TCP front-end on --port, serve every
-/// registered robot spec (one service lane each — own queue, workers,
-/// seed cache) until SIGINT/SIGTERM (or --max-runtime-ms, the test
+/// registered robot spec (one service lane each — own queue and seed
+/// cache, all served by one shared worker pool) until SIGINT/SIGTERM (or --max-runtime-ms, the test
 /// seam), then drain — listener first, in-flight solves flushed — and
 /// dump the combined router + wire observability snapshot (including
 /// the per-spec dadu_spec_<name>_* series) in --stats-format.

@@ -5,7 +5,7 @@
 // chain it was built around (ServerConfig::robot_spec_id).  The
 // registry is the missing table: spec_id -> {kinematic chain, joint
 // limits (carried by the chain), solver factory, solver options,
-// worker-pool sizing} — everything a front-end needs to route a
+// worker contribution} — everything a front-end needs to route a
 // request to the right per-spec serving lane.
 //
 // Specs come from three places:
@@ -43,7 +43,8 @@ struct RobotSpec {
   kin::Chain chain;         ///< geometry + joint limits
   std::string solver = "quick-ik";  ///< ik::makeSolver name
   ik::SolveOptions options;
-  /// Worker-pool size for this spec (0 = the router-level policy).
+  /// This spec's contribution to the router's shared worker pool
+  /// (0 = the router-level policy).
   std::size_t workers = 0;
   /// Optional factory override.  When set it wins over
   /// (solver, chain, options) — the seam the deterministic sim uses to

@@ -35,6 +35,10 @@ SpecRouter::SpecRouter(const RobotSpecRegistry& registry, RouterConfig config)
   const std::size_t even_share =
       std::max<std::size_t>(hw / registry_.size(), 1);
 
+  // Threaded lanes share one work-conserving pool sized by the sum of
+  // their contributions; executor (sim) lanes keep their own
+  // cooperative workers.
+  if (!config_.base.executor) pool_ = std::make_unique<service::WorkerPool>();
   lanes_.reserve(registry_.size());
   for (const RobotSpec& spec : registry_.specs()) {
     service::ServiceConfig lane_config = config_.base;
@@ -46,10 +50,11 @@ SpecRouter::SpecRouter(const RobotSpecRegistry& registry, RouterConfig config)
     Lane lane;
     lane.spec = &spec;
     lane.service = std::make_unique<service::IkService>(
-        RobotSpecRegistry::makeFactory(spec), lane_config);
+        RobotSpecRegistry::makeFactory(spec), lane_config, pool_.get());
     lane_by_id_.emplace(spec.id, lanes_.size());
     lanes_.push_back(std::move(lane));
   }
+  if (pool_) pool_->start();
 }
 
 SpecRouter::~SpecRouter() { stop(service::IkService::Drain::kDrainPending); }
@@ -74,9 +79,11 @@ bool SpecRouter::submit(std::uint32_t spec_id, service::Request request,
 
 void SpecRouter::stop(service::IkService::Drain mode) {
   for (Lane& lane : lanes_) lane.service->stop(mode);
+  if (pool_) pool_->stop();
 }
 
 std::size_t SpecRouter::totalWorkers() const {
+  if (pool_) return pool_->size();
   std::size_t total = 0;
   for (const Lane& lane : lanes_) total += lane.service->workerCount();
   return total;

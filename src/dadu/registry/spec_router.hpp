@@ -1,29 +1,41 @@
 // SpecRouter: per-spec serving lanes behind one submit() seam.
 //
-// One router owns one IkService per registered robot spec.  That
-// single structural decision buys every multi-robot invariant at once:
+// One router owns one IkService lane per registered robot spec, and
+// one WorkerPool whose threads serve every lane.  What is per spec and
+// what is shared is the whole design:
 //
-//   per-spec queues        each lane has its own bounded MPMC queue, so
-//                          one robot's backlog cannot starve another's
+//   per-spec queues        each lane has its own bounded MPMC queue and
+//                          admission (breaker, deadlines), so one
+//                          robot's backlog cannot starve another's
 //                          admission;
-//   per-spec worker pools  sized by the router-level policy (see
-//                          RouterConfig) with per-spec overrides;
+//   one shared pool        the pool's threads (sized as the sum of the
+//                          lanes' worker counts, see RouterConfig) run
+//                          whichever lane has work, so no thread idles
+//                          while another robot queues.  Workers scan
+//                          the lanes round-robin from the lane they
+//                          last served, which bounds the wait behind a
+//                          flooded lane: a request at the head of an
+//                          idle lane completes within totalWorkers() + 1
+//                          completions of its submit when solves cost
+//                          alike;
 //   per-spec seed caches   cache keys are workspace positions, which
 //                          are meaningless across chains — a hit in
 //                          spec A can never seed spec B because the
 //                          caches are physically separate;
-//   spec-pure solvers      each lane's workers hold solvers built for
-//                          its own chain, so a request is only ever
-//                          solved against the spec it named, and
-//                          routing is bit-identical to running each
-//                          spec in its own single-spec server: same
-//                          queue, same cache, same solver.
+//   spec-pure solvers      every pool worker holds one solver per lane,
+//                          built by that lane's factory for its own
+//                          chain, so a request is only ever solved
+//                          against the spec it named, and routing is
+//                          bit-identical to running each spec in its
+//                          own single-spec server: same queue, same
+//                          cache, same solver.
 //
 // The front-ends (IkServer, SimServer) route a wire request by its
 // spec_id through submit(); an unknown id returns false and the caller
 // answers kUnknownSpec.  Lanes run under whatever clock/executor seam
 // RouterConfig::base carries, so the whole router works inside the
-// deterministic simulation unchanged.
+// deterministic simulation unchanged; with an executor there is no
+// pool, and each lane keeps its own cooperative workers.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +49,15 @@
 
 namespace dadu::registry {
 
-/// Registry-level resource policy: how big each spec's lane is.
+/// Registry-level resource policy: what each spec's lane contributes.
 struct RouterConfig {
   /// Template for every lane's ServiceConfig (queue capacity, cache,
   /// breaker, stat shards, clock/executor seams).  The `workers` field
   /// is the per-spec default; see workers_per_spec.
   service::ServiceConfig base;
-  /// Workers per spec: RobotSpec::workers wins when set, then this,
-  /// then base.workers; all zero = hardware concurrency divided evenly
-  /// across specs (min 1 per spec).
+  /// Each spec's contribution to the shared pool: RobotSpec::workers
+  /// wins when set, then this, then base.workers; all zero = hardware
+  /// concurrency divided evenly across specs (min 1 per spec).
   std::size_t workers_per_spec = 0;
 };
 
@@ -54,12 +66,13 @@ struct SpecLaneStats {
   const RobotSpec* spec = nullptr;
   service::ServiceStats stats;
   std::size_t queue_depth = 0;
-  std::size_t workers = 0;
+  std::size_t workers = 0;  ///< the spec's contribution to the pool
 };
 
 class SpecRouter {
  public:
-  /// Builds (and starts) one IkService per spec in `registry`, which
+  /// Builds one IkService lane per spec in `registry` and starts the
+  /// shared pool behind them.  The registry
   /// must be non-empty, outlive the router, and not be mutated while
   /// the router exists.  Throws std::invalid_argument on an empty
   /// registry.
@@ -81,12 +94,14 @@ class SpecRouter {
   bool submit(std::uint32_t spec_id, service::Request request,
               service::IkService::Completion done);
 
-  /// Stop every lane (same Drain semantics as IkService::stop).
-  /// Idempotent.
+  /// Stop every lane (same Drain semantics as IkService::stop), then
+  /// join the pool.  Idempotent.
   void stop(service::IkService::Drain mode =
                 service::IkService::Drain::kDrainPending);
 
   std::size_t specCount() const { return lanes_.size(); }
+  /// Worker threads behind the router: the shared pool's size (in
+  /// executor mode, the lanes' cooperative workers summed).
   std::size_t totalWorkers() const;
   const RobotSpecRegistry& registry() const { return registry_; }
 
@@ -99,8 +114,8 @@ class SpecRouter {
 
   /// Aggregate dadu_service_* snapshot plus per-spec series named
   /// `dadu_spec_<name>_*` (requests, solved, cache hit rate, queue
-  /// depth, workers) — the exporter model has no labels, so the spec
-  /// name rides in the metric name.
+  /// depth, pool contribution) — the exporter model has no labels, so
+  /// the spec name rides in the metric name.
   obs::MetricsSnapshot metrics() const;
 
  private:
@@ -111,6 +126,9 @@ class SpecRouter {
 
   const RobotSpecRegistry& registry_;
   RouterConfig config_;
+  /// Threaded mode only.  Declared before the lanes so it outlives
+  /// them; stop() joins its threads before any lane is destroyed.
+  std::unique_ptr<service::WorkerPool> pool_;
   std::vector<Lane> lanes_;
   std::unordered_map<std::uint32_t, std::size_t> lane_by_id_;
 };

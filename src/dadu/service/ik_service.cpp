@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "dadu/fault/fault.hpp"
@@ -20,7 +21,8 @@ double msBetween(Clock::time_point from, Clock::time_point to) {
 
 }  // namespace
 
-IkService::IkService(SolverFactory factory, ServiceConfig config)
+IkService::IkService(SolverFactory factory, ServiceConfig config,
+                     WorkerPool* pool)
     : config_(config),
       factory_(std::move(factory)),
       queue_(config.queue_capacity),
@@ -31,19 +33,27 @@ IkService::IkService(SolverFactory factory, ServiceConfig config)
       solve_hist_(config.latency),
       e2e_hist_(config.latency) {
   if (!factory_) throw std::invalid_argument("IkService: null factory");
-  std::size_t workers = config_.workers;
-  if (workers == 0)
-    workers = std::max(1u, std::thread::hardware_concurrency());
+  worker_count_ = config_.workers;
+  if (worker_count_ == 0)
+    worker_count_ = std::max(1u, std::thread::hardware_concurrency());
   if (config_.executor) {
+    if (pool)
+      throw std::invalid_argument(
+          "IkService: a WorkerPool lane cannot run on an executor");
     // Cooperative mode: no threads.  Workers are dispatch-step state
     // machines driven by the executor; the vector never reallocates
     // (steps capture indices, not iterators).
-    coop_workers_ = std::vector<CoopWorker>(workers);
+    coop_workers_ = std::vector<CoopWorker>(worker_count_);
     return;
   }
-  workers_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    workers_.emplace_back([this] { workerLoop(); });
+  if (!pool) {
+    own_pool_ = std::make_unique<WorkerPool>();
+    pool = own_pool_.get();
+  }
+  pool_ = pool;
+  pool_->attach(*this);
+  // A shared pool's owner starts it once every lane has attached.
+  if (own_pool_) pool_->start();
 }
 
 IkService::~IkService() { stop(Drain::kDrainPending); }
@@ -129,8 +139,11 @@ void IkService::submitInternal(Request request, JobCompletion finish) {
   switch (queue_.tryPush(std::move(job))) {
     case PushResult::kAccepted:
       // Cooperative mode has no parked threads to notify: posting the
-      // dispatch steps here is the notify_one().
-      if (config_.executor) scheduleCoopWorkers();
+      // dispatch steps here is the pool's notify().
+      if (config_.executor)
+        scheduleCoopWorkers();
+      else
+        pool_->notify();
       break;
     case PushResult::kFull:
       // tryPush did not move from `job` — fail its completion here.
@@ -165,11 +178,25 @@ void IkService::rejectJob(Job& job, RejectReason reason) {
   rejectNow(job.finish, reason);
 }
 
-void IkService::workerLoop() {
-  const std::unique_ptr<ik::IkSolver> solver = factory_();
+std::unique_ptr<ik::IkSolver> IkService::makeSolver() const {
+  std::unique_ptr<ik::IkSolver> solver = factory_();
   solver->setClock(config_.clock);
+  return solver;
+}
+
+bool IkService::serveOne(ik::IkSolver& solver) {
   Job job;
-  while (queue_.pop(job)) step(*solver, std::move(job));
+  {
+    // Pop and count under one lock: stop() never sees the job neither
+    // queued nor in flight.
+    std::lock_guard<std::mutex> lock(in_flight_mutex_);
+    if (!queue_.tryPop(job)) return false;
+    ++in_flight_;
+  }
+  step(solver, std::move(job));
+  std::lock_guard<std::mutex> lock(in_flight_mutex_);
+  if (--in_flight_ == 0) idle_.notify_all();
+  return true;
 }
 
 void IkService::step(ik::IkSolver& solver, Job job) {
@@ -185,10 +212,7 @@ void IkService::step(ik::IkSolver& solver, Job job) {
 }
 
 ik::IkSolver& IkService::coopSolver(CoopWorker& w) {
-  if (!w.solver) {
-    w.solver = factory_();
-    w.solver->setClock(config_.clock);
-  }
+  if (!w.solver) w.solver = makeSolver();
   return *w.solver;
 }
 
@@ -360,8 +384,16 @@ void IkService::stop(Drain mode) {
     }
     return;
   }
-  for (std::thread& worker : workers_)
-    if (worker.joinable()) worker.join();
+  // Threaded mode: the pool's workers finish the queue (drain) or
+  // reject what they dequeued after the discard flag.  Wait until the
+  // queue is empty and no worker is inside step() for this service;
+  // a shared pool keeps serving the other lanes meanwhile.
+  {
+    std::unique_lock<std::mutex> idle_lock(in_flight_mutex_);
+    idle_.wait(idle_lock,
+               [&] { return in_flight_ == 0 && queue_.size() == 0; });
+  }
+  if (own_pool_) own_pool_->stop();
 }
 
 ServiceStats IkService::stats() const {

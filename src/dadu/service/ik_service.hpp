@@ -6,10 +6,12 @@
 // service is the opposite: construct once, submit() any number of
 // requests from any number of threads, get a future per request.
 //
-//   - worker pool: `workers` threads, each owning a private solver
-//     built by the caller's factory (solvers carry per-solve
-//     workspaces and are not thread-safe by design — same contract as
-//     the batch runner);
+//   - workers: `workers` threads of a WorkerPool (worker_pool.hpp) —
+//     the service's own private pool, or its contribution to a pool
+//     shared with other lanes (SpecRouter).  Each worker owns a
+//     private solver built by the caller's factory (solvers carry
+//     per-solve workspaces and are not thread-safe by design — same
+//     contract as the batch runner);
 //   - admission control: a bounded MPMC queue; a full queue rejects at
 //     submit() with Rejected{QueueFull} instead of blocking forever;
 //   - per-request deadlines: a request still queued past its deadline
@@ -39,16 +41,16 @@
 // be waited on from anywhere; each resolves exactly once.  Completion
 // callbacks must be thread-safe with respect to their own captures and
 // must not block for long (they run on the worker hot path) nor call
-// stop() (deadlock: stop() joins the calling worker).
+// stop() (deadlock: stop() waits for the calling worker's step).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "dadu/obs/histogram.hpp"
@@ -61,17 +63,20 @@
 #include "dadu/service/request.hpp"
 #include "dadu/service/seed_cache.hpp"
 #include "dadu/service/service_stats.hpp"
+#include "dadu/service/worker_pool.hpp"
 #include "dadu/solvers/ik_solver.hpp"
 
 namespace dadu::service {
 
 /// Factory producing one solver instance per worker.  Called once from
-/// each worker thread at startup — it must be safe to invoke
+/// each pool worker thread at startup — it must be safe to invoke
 /// concurrently (same contract as the batch runner's factory).
 using SolverFactory = std::function<std::unique_ptr<ik::IkSolver>()>;
 
 struct ServiceConfig {
-  std::size_t workers = 0;          ///< 0 = hardware concurrency
+  /// Worker threads (0 = hardware concurrency): the size of the
+  /// service's private pool, or its contribution to a shared one.
+  std::size_t workers = 0;
   std::size_t queue_capacity = 1024;
   bool enable_seed_cache = true;
   SeedCacheConfig cache;
@@ -98,11 +103,11 @@ struct ServiceConfig {
   /// cost: one branch + virtual call on paths that already pay a
   /// syscall for the real clock read.
   const platform::Clock* clock = nullptr;
-  /// Execution seam (null = OS worker threads, the production path).
+  /// Execution seam (null = WorkerPool threads, the production path).
   /// With an executor the service spawns NO threads: `workers` becomes
   /// a count of cooperative logical workers whose dispatch steps are
-  /// posted as executor tasks.  Each step runs the same dispatch as a
-  /// worker thread's loop body, so per-request semantics (admission,
+  /// posted as executor tasks.  Each step runs the same step() a pool
+  /// worker runs, so per-request semantics (admission,
   /// deadlines, breaker, statuses) are identical.  Single-threaded by
   /// contract: submit/stop must be called from the executor's thread,
   /// and the executor must outlive the service.
@@ -111,9 +116,15 @@ struct ServiceConfig {
 
 class IkService {
  public:
-  /// Starts the worker pool immediately.  Throws std::invalid_argument
-  /// on a null factory.
-  explicit IkService(SolverFactory factory, ServiceConfig config = {});
+  /// With a null `pool`, starts a private WorkerPool of
+  /// `config.workers` threads with this service as its only lane (no
+  /// threads in executor mode).  Otherwise the service is a lane of
+  /// the shared, not yet started `pool` (which must outlive it): it
+  /// spawns no threads and adds `config.workers` to the pool's size.
+  /// Throws std::invalid_argument on a null factory, or on a pool
+  /// together with an executor seam.
+  explicit IkService(SolverFactory factory, ServiceConfig config = {},
+                     WorkerPool* pool = nullptr);
   ~IkService();  ///< stop(Drain::kDrainPending)
 
   IkService(const IkService&) = delete;
@@ -145,11 +156,13 @@ class IkService {
     kDiscardPending,  ///< queued requests resolve Rejected{Shutdown} now
   };
 
-  /// Close admission, handle queued requests per `mode`, join workers.
-  /// Idempotent; concurrent callers serialize, later modes are no-ops.
-  /// In-flight solves always run to completion.  In discard mode a
-  /// request a worker dequeues after the close is rejected without
-  /// solving — pending work is never executed past a discard stop.
+  /// Close admission, handle queued requests per `mode`, and return
+  /// once the queue is empty and no worker is inside this service's
+  /// step() (then join the private pool, if any).  Idempotent;
+  /// concurrent callers serialize, later modes are no-ops.  In-flight
+  /// solves always run to completion.  In discard mode a request a
+  /// worker dequeues after the close is rejected without solving —
+  /// pending work is never executed past a discard stop.
   void stop(Drain mode = Drain::kDrainPending);
   bool stopped() const { return stopped_.load(); }
 
@@ -158,9 +171,9 @@ class IkService {
   obs::MetricsSnapshot metrics() const { return toMetricsSnapshot(stats()); }
   const SeedCache& seedCache() const { return cache_; }
   const CircuitBreaker& breaker() const { return breaker_; }
-  std::size_t workerCount() const {
-    return config_.executor ? coop_workers_.size() : workers_.size();
-  }
+  /// Workers this service contributes: its private pool's size, its
+  /// share of a shared pool, or its cooperative workers.
+  std::size_t workerCount() const { return worker_count_; }
   std::size_t queueDepth() const { return queue_.size(); }
   const ServiceConfig& config() const { return config_; }
 
@@ -183,9 +196,11 @@ class IkService {
     kCounterCount,
   };
 
-  /// One cooperative logical worker (executor mode): the state a
-  /// workerLoop() thread keeps on its stack, parked in a struct
-  /// between posted dispatch steps.
+  friend class WorkerPool;
+
+  /// One cooperative logical worker (executor mode): the state a pool
+  /// worker keeps on its stack, parked in a struct between posted
+  /// dispatch steps.
   struct CoopWorker {
     std::unique_ptr<ik::IkSolver> solver;  ///< created on first step
     bool busy = false;                     ///< a step is posted or running
@@ -196,9 +211,12 @@ class IkService {
   }
 
   void submitInternal(Request request, JobCompletion finish);
-  /// Threaded worker: blocking pop, then step(), until the queue is
-  /// closed and drained.
-  void workerLoop();
+  /// Pool worker start-up: one solver from the factory, on the clock.
+  std::unique_ptr<ik::IkSolver> makeSolver() const;
+  /// Pool worker: tryPop, then step() — false when the queue was
+  /// empty.  Counted in `in_flight_` from before the pop until the
+  /// step returns, which is what stop() waits out.
+  bool serveOne(ik::IkSolver& solver);
   /// The one dispatch step both execution modes share: reject a job
   /// dequeued during a discard stop, otherwise process() it.
   void step(ik::IkSolver& solver, Job job);
@@ -213,7 +231,7 @@ class IkService {
   /// work is queued.
   void scheduleCoopWorkers();
   /// Executor mode: tryPop, step(), then re-post while work remains —
-  /// the cooperative spelling of one workerLoop() iteration.
+  /// the cooperative spelling of one serveOne().
   void coopStep(std::size_t worker);
   ik::IkSolver& coopSolver(CoopWorker& w);
 
@@ -222,8 +240,18 @@ class IkService {
   BoundedQueue queue_;
   SeedCache cache_;
   CircuitBreaker breaker_;
-  std::vector<std::thread> workers_;
+  std::size_t worker_count_ = 0;
   std::vector<CoopWorker> coop_workers_;  ///< executor mode only
+  /// Threaded mode: the pool whose workers serve this queue (private
+  /// or shared); null in executor mode.
+  WorkerPool* pool_ = nullptr;
+
+  /// Pool workers inside serveOne() for this service.  Changed and
+  /// read under `in_flight_mutex_` so stop() can wait for "queue empty
+  /// and nothing in flight" without a lost wakeup.
+  std::mutex in_flight_mutex_;
+  std::condition_variable idle_;
+  std::size_t in_flight_ = 0;
 
   std::atomic<bool> stopped_{false};
   /// Discard-mode shutdown: set (before the queue closes) to tell
@@ -241,6 +269,10 @@ class IkService {
   obs::LatencyHistogram queue_hist_;
   obs::LatencyHistogram solve_hist_;
   obs::LatencyHistogram e2e_hist_;
+
+  /// Standalone threaded mode only.  Declared last: its workers read
+  /// every member above.
+  std::unique_ptr<WorkerPool> own_pool_;
 };
 
 }  // namespace dadu::service

@@ -9,23 +9,11 @@ BoundedQueue::BoundedQueue(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 PushResult BoundedQueue::tryPush(Job&& job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) return PushResult::kClosed;
-    if (jobs_.size() >= capacity_) return PushResult::kFull;
-    jobs_.push_back(std::move(job));
-  }
-  cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_) return PushResult::kClosed;
+  if (jobs_.size() >= capacity_) return PushResult::kFull;
+  jobs_.push_back(std::move(job));
   return PushResult::kAccepted;
-}
-
-bool BoundedQueue::pop(Job& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
-  if (jobs_.empty()) return false;  // closed and drained
-  out = std::move(jobs_.front());
-  jobs_.pop_front();
-  return true;
 }
 
 bool BoundedQueue::tryPop(Job& out) {
@@ -37,11 +25,8 @@ bool BoundedQueue::tryPop(Job& out) {
 }
 
 void BoundedQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mutex_);
+  closed_ = true;
 }
 
 std::vector<Job> BoundedQueue::drain() {

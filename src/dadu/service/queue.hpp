@@ -3,18 +3,19 @@
 // The admission-control point of the serving layer: producers tryPush
 // and are *never* blocked — a full queue rejects immediately so the
 // caller can shed load (the alternative, blocking producers, turns an
-// overload into unbounded latency for everyone).  Consumers block in
-// pop() until work arrives or the queue is closed and drained.
+// overload into unbounded latency for everyone).  Consumers never
+// block either: tryPop() returns false on an empty queue, and the
+// WorkerPool (worker_pool.hpp) decides when its workers sleep, across
+// every lane's queue at once.
 //
-// Implementation is a mutex + condition variable around a deque: the
-// queue hand-off is microseconds against solves that are hundreds of
-// microseconds to milliseconds, so lock-free buys nothing here and a
-// mutex keeps the semantics (close/drain interplay) easy to verify —
-// and trivially ThreadSanitizer-clean.
+// Implementation is a mutex around a deque: the queue hand-off is
+// microseconds against solves that are hundreds of microseconds to
+// milliseconds, so lock-free buys nothing here and a mutex keeps the
+// semantics (close/drain interplay) easy to verify — and trivially
+// ThreadSanitizer-clean.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -66,18 +67,12 @@ class BoundedQueue {
   /// Non-blocking admission: moves from `job` only on kAccepted.
   PushResult tryPush(Job&& job);
 
-  /// Block until a job is available (true) or the queue is closed and
-  /// empty (false).  Closed-but-nonempty queues keep serving pops so a
-  /// shutdown can drain.
-  bool pop(Job& out);
-
-  /// Non-blocking pop: false when the queue is momentarily empty (or
-  /// closed and drained) — never waits.  The cooperative-executor
-  /// consumers' spelling of pop().
+  /// Non-blocking pop: false when the queue is empty (or closed and
+  /// drained) — never waits.  Closed-but-nonempty queues keep serving
+  /// pops so a shutdown can drain.
   bool tryPop(Job& out);
 
-  /// Stop accepting pushes and wake every blocked consumer.  Queued
-  /// jobs remain poppable.  Idempotent.
+  /// Stop accepting pushes.  Queued jobs remain poppable.  Idempotent.
   void close();
 
   /// Remove and return every queued job (used by discard-mode shutdown
@@ -91,7 +86,6 @@ class BoundedQueue {
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Job> jobs_;
   bool closed_ = false;
 };

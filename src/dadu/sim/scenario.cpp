@@ -228,16 +228,23 @@ void clientParse(Run& run, const std::shared_ptr<Client>& c) {
   }
 }
 
-void attachClient(Run& run, const std::shared_ptr<Client>& c) {
+void attachClient(Run& run, const std::shared_ptr<Client>& client) {
   Run* r = &run;
-  c->conn->onReceive(Side::kClient,
-                     [r, c](const std::uint8_t* data, std::size_t len) {
-                       if (!c->open) return;
-                       c->in.append(data, len);
-                       clientParse(*r, c);
-                     });
-  c->conn->onClose(Side::kClient, [r, c] {
-    if (!c->open) return;
+  // The handlers live in the connection the client holds, so they
+  // capture the client weakly (runScenario's pool owns it); a strong
+  // capture would make a Client -> SimConnection -> handler -> Client
+  // cycle and leak every connection of the run.
+  const std::weak_ptr<Client> weak = client;
+  client->conn->onReceive(
+      Side::kClient, [r, weak](const std::uint8_t* data, std::size_t len) {
+        const auto c = weak.lock();
+        if (!c || !c->open) return;
+        c->in.append(data, len);
+        clientParse(*r, c);
+      });
+  client->conn->onClose(Side::kClient, [r, weak] {
+    const auto c = weak.lock();
+    if (!c || !c->open) return;
     c->open = false;
     // Everything in flight died with the pipe — a terminal outcome the
     // invariants count.

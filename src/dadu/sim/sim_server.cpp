@@ -35,18 +35,23 @@ void SimServer::accept(std::shared_ptr<SimConnection> conn) {
   sc->id = next_conn_id_++;
   sc->conn = std::move(conn);
   ++stats_.connections;
+  conns_.emplace(sc->id, sc);
   SimServer* self = this;
+  const std::weak_ptr<ServerConn> weak = sc;
   sc->conn->onReceive(Side::kServer,
-                      [self, sc](const std::uint8_t* data, std::size_t len) {
-                        self->onBytes(sc, data, len);
+                      [self, weak](const std::uint8_t* data, std::size_t len) {
+                        if (const auto live = weak.lock())
+                          self->onBytes(live, data, len);
                       });
-  sc->conn->onClose(Side::kServer, [self, sc] {
-    if (!sc->open) return;
-    sc->open = false;
+  sc->conn->onClose(Side::kServer, [self, weak] {
+    const auto live = weak.lock();
+    if (!live || !live->open) return;
+    live->open = false;
+    self->conns_.erase(live->id);
     ++self->stats_.closed;
     if (self->trace_)
       self->trace_->record(self->nowUs(), "srv close conn=%llu",
-                           static_cast<unsigned long long>(sc->id));
+                           static_cast<unsigned long long>(live->id));
   });
 }
 

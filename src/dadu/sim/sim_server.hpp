@@ -115,6 +115,11 @@ class SimServer {
   std::uint64_t next_conn_id_ = 1;
   SimServerStats stats_;
   std::vector<std::uint8_t> encode_scratch_;
+  /// Open connections by id.  The server owns them; the transport's
+  /// handlers hold them weakly, because a strong capture would close a
+  /// ServerConn -> SimConnection -> handler -> ServerConn cycle and
+  /// leak every connection.  Erased on close.
+  std::unordered_map<std::uint64_t, std::shared_ptr<ServerConn>> conns_;
 };
 
 }  // namespace dadu::sim

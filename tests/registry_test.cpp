@@ -8,15 +8,26 @@
 //     never seeds spec B);
 //   - an interleaved burst never hands a request to another spec's
 //     solver (every response's theta has its own spec's DOF);
-//   - the aggregate/metrics views conserve what the lanes counted.
+//   - the aggregate/metrics views conserve what the lanes counted;
+//   - the lanes share one work-conserving pool: one flooded spec runs
+//     on every worker, a request to another spec still completes
+//     within totalWorkers() + 1 completions, and a drain stop solves
+//     what every lane had queued.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dadu/kinematics/presets.hpp"
@@ -74,6 +85,122 @@ Response call(SpecRouter& router, std::uint32_t spec_id, Request request) {
                             [&](Response r) { promise.set_value(std::move(r)); }));
   return future.get();
 }
+
+/// Holds solves inside solve() and lets them out one at a time, oldest
+/// entry first, so a test fixes the order in which pool workers finish.
+/// Every wait gives up after a timeout so a missing worker fails the
+/// test instead of hanging it.
+class TurnGate {
+ public:
+  void enter() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const long turn = entered_++;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_ > turn; });
+  }
+  void releaseOne() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++released_;
+    cv_.notify_all();
+  }
+  void openAll() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = std::numeric_limits<long>::max();
+    cv_.notify_all();
+  }
+  bool awaitEntered(long n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_ >= n; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  long entered_ = 0;
+  long released_ = 0;
+};
+
+/// Opens the gate when a test leaves, failed assertions included, so
+/// the router's drain stop never waits on a solve held at the gate.
+/// Declare it after the router.
+struct OpenGateOnExit {
+  std::shared_ptr<TurnGate> gate;
+  ~OpenGateOnExit() { gate->openAll(); }
+};
+
+/// Waits at the gate, then "converges" at the seed.
+class TurnGateSolver : public ik::IkSolver {
+ public:
+  TurnGateSolver(kin::Chain chain, std::shared_ptr<TurnGate> gate)
+      : chain_(std::move(chain)), gate_(std::move(gate)) {}
+  ik::SolveResult solve(const linalg::Vec3&, const linalg::VecX& seed) override {
+    gate_->enter();
+    ik::SolveResult r;
+    r.status = ik::Status::kConverged;
+    r.iterations = 1;
+    r.theta = seed;
+    return r;
+  }
+  std::string name() const override { return "turn-gate"; }
+  const kin::Chain& chain() const override { return chain_; }
+  const ik::SolveOptions& options() const override { return options_; }
+
+ private:
+  kin::Chain chain_;
+  std::shared_ptr<TurnGate> gate_;
+  ik::SolveOptions options_;
+};
+
+/// Two 4-DOF specs ("a" = id 0, "b" = id 1) whose solvers all wait at
+/// `gate`.
+RobotSpecRegistry makeGatedRegistry(const std::shared_ptr<TurnGate>& gate) {
+  RobotSpecRegistry reg;
+  for (std::uint32_t id = 0; id < 2; ++id) {
+    RobotSpec spec;
+    spec.id = id;
+    spec.name = id == 0 ? "a" : "b";
+    spec.chain = kin::makeSerpentine(4);
+    const kin::Chain chain = spec.chain;
+    spec.factory = [chain, gate] {
+      return std::make_unique<TurnGateSolver>(chain, gate);
+    };
+    reg.add(std::move(spec));
+  }
+  return reg;
+}
+
+/// Completion log shared by the pool tests: which spec finished, on
+/// which thread, in completion order.
+class CompletionLog {
+ public:
+  struct Entry {
+    std::uint32_t spec;
+    std::thread::id thread;
+    ResponseStatus status;
+  };
+  service::IkService::Completion track(std::uint32_t spec) {
+    return [this, spec](Response r) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      entries_.push_back({spec, std::this_thread::get_id(), r.status});
+      cv_.notify_all();
+    };
+  }
+  bool awaitCount(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entries_.size() >= n; });
+  }
+  std::vector<Entry> entries() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Entry> entries_;
+};
 
 TEST(RobotSpecRegistry, ResolveChainSpecGrammar) {
   EXPECT_EQ(resolveChainSpec("serpentine:9").dof(), 9u);
@@ -283,6 +410,124 @@ TEST(SpecRouter, AggregateConservesLaneCountersAndMetricsAreLabelled) {
       EXPECT_EQ(g.value, 2.0);
     }
   EXPECT_TRUE(saw_specs_gauge);
+}
+
+TEST(SpecRouter, IdleWorkersServeAnotherSpecsBacklog) {
+  // One worker per spec, only spec "a" flooded.  Behind one shared pool
+  // both workers take a's backlog; per-lane worker threads would leave
+  // b's worker idle and serve a on one thread.
+  const auto gate = std::make_shared<TurnGate>();
+  const auto reg = makeGatedRegistry(gate);
+  RouterConfig config;
+  config.base.workers = 1;
+  config.base.enable_seed_cache = false;
+  CompletionLog log;  // outlives the router's drain-stop completions
+  SpecRouter router(reg, config);
+  const OpenGateOnExit open_on_exit{gate};
+  ASSERT_EQ(router.totalWorkers(), 2u);
+
+  constexpr std::size_t kFlood = 8;
+  for (std::uint32_t i = 0; i < kFlood; ++i)
+    ASSERT_TRUE(router.submit(0, requestFor(reg.specs()[0].chain, i),
+                              log.track(0)));
+  EXPECT_TRUE(gate->awaitEntered(2)) << "spec a never ran on two workers";
+  gate->openAll();
+  ASSERT_TRUE(log.awaitCount(kFlood));
+  router.stop();
+
+  std::set<std::thread::id> threads;
+  for (const auto& e : log.entries()) {
+    EXPECT_EQ(e.spec, 0u);
+    EXPECT_EQ(e.status, ResponseStatus::kSolved);
+    threads.insert(e.thread);
+  }
+  EXPECT_EQ(threads.size(), 2u);
+  // The gauge still reports each spec's contribution, not the pool.
+  for (const auto& lane : router.perSpecStats()) EXPECT_EQ(lane.workers, 1u);
+}
+
+TEST(SpecRouter, RequestBehindAnotherSpecsFloodWaitsBoundedCompletions) {
+  // Every worker busy on spec a with more a queued; then one b
+  // request.  The round-robin scan hands b to the next worker that
+  // finishes, so b completes within totalWorkers() + 1 completions of
+  // its submit.  The gate lets solves finish one at a time, oldest
+  // first, and waits for the freed worker to take its next job, so the
+  // order is fixed.
+  const auto gate = std::make_shared<TurnGate>();
+  const auto reg = makeGatedRegistry(gate);
+  RouterConfig config;
+  config.base.workers = 1;
+  config.base.enable_seed_cache = false;
+  CompletionLog log;  // outlives the router's drain-stop completions
+  SpecRouter router(reg, config);
+  const OpenGateOnExit open_on_exit{gate};
+  const long workers = static_cast<long>(router.totalWorkers());
+
+  constexpr std::size_t kFlood = 8;
+  for (std::uint32_t i = 0; i < kFlood; ++i)
+    ASSERT_TRUE(router.submit(0, requestFor(reg.specs()[0].chain, i),
+                              log.track(0)));
+  ASSERT_TRUE(gate->awaitEntered(workers));
+  ASSERT_TRUE(router.submit(1, requestFor(reg.specs()[1].chain, 0),
+                            log.track(1)));
+
+  const long total = static_cast<long>(kFlood) + 1;
+  long b_position = 0;  // 1-based completion index after b's submit
+  for (long done = 1; done <= total && b_position == 0; ++done) {
+    gate->releaseOne();
+    ASSERT_TRUE(log.awaitCount(static_cast<std::size_t>(done)));
+    if (log.entries()[static_cast<std::size_t>(done - 1)].spec == 1)
+      b_position = done;
+    // The freed worker takes its next job (while one is left) before
+    // the next release, so turn order is dispatch order.
+    if (workers + done <= total) {
+      ASSERT_TRUE(gate->awaitEntered(workers + done));
+    }
+  }
+  gate->openAll();
+  router.stop();
+  ASSERT_NE(b_position, 0) << "spec b never completed";
+  EXPECT_LE(b_position, workers + 1);
+}
+
+TEST(SpecRouter, DrainStopSolvesEveryLanesQueueOnTheSharedPool) {
+  // Both lanes hold queued work behind a saturated pool when the drain
+  // stop begins.  The stop must solve all of it, and every lane's books
+  // must balance.
+  const auto gate = std::make_shared<TurnGate>();
+  const auto reg = makeGatedRegistry(gate);
+  RouterConfig config;
+  config.base.workers = 1;
+  config.base.enable_seed_cache = false;
+  CompletionLog log;  // outlives the router's drain-stop completions
+  SpecRouter router(reg, config);
+  const OpenGateOnExit open_on_exit{gate};
+
+  constexpr std::uint32_t kPerSpec = 5;
+  for (std::uint32_t i = 0; i < kPerSpec; ++i)
+    for (std::uint32_t spec = 0; spec < 2; ++spec)
+      ASSERT_TRUE(router.submit(spec, requestFor(reg.specs()[spec].chain, i),
+                                log.track(spec)));
+  ASSERT_TRUE(gate->awaitEntered(static_cast<long>(router.totalWorkers())));
+  for (const auto& lane : router.perSpecStats())
+    EXPECT_GT(lane.queue_depth, 0u) << lane.spec->name;
+
+  std::thread stopper(
+      [&] { router.stop(service::IkService::Drain::kDrainPending); });
+  // Open the gate only once the stop has closed the first lane.
+  while (!router.serviceFor(0)->stopped()) std::this_thread::yield();
+  gate->openAll();
+  stopper.join();
+
+  const auto entries = log.entries();
+  ASSERT_EQ(entries.size(), 2u * kPerSpec);
+  for (const auto& e : entries) EXPECT_EQ(e.status, ResponseStatus::kSolved);
+  for (const auto& lane : router.perSpecStats()) {
+    EXPECT_EQ(lane.stats.submitted, kPerSpec) << lane.spec->name;
+    EXPECT_EQ(lane.stats.solved, kPerSpec) << lane.spec->name;
+    EXPECT_EQ(lane.stats.accounted(), lane.stats.submitted) << lane.spec->name;
+    EXPECT_EQ(lane.queue_depth, 0u) << lane.spec->name;
+  }
 }
 
 }  // namespace

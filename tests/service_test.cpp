@@ -73,7 +73,7 @@ TEST(BoundedQueue, FifoPushPop) {
   EXPECT_EQ(q.size(), 3u);
   Job out;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop(out));
+    ASSERT_TRUE(q.tryPop(out));
     EXPECT_EQ(out.request.deadline_ms, i);
   }
   EXPECT_EQ(q.size(), 0u);
@@ -85,7 +85,7 @@ TEST(BoundedQueue, RejectsWhenFull) {
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kAccepted);
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kFull);
   Job out;
-  ASSERT_TRUE(q.pop(out));
+  ASSERT_TRUE(q.tryPop(out));
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kAccepted);  // slot freed
 }
 
@@ -103,19 +103,8 @@ TEST(BoundedQueue, ClosedQueueRejectsPushesButDrainsPops) {
   EXPECT_TRUE(q.closed());
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kClosed);
   Job out;
-  EXPECT_TRUE(q.pop(out));   // queued job still served
-  EXPECT_FALSE(q.pop(out));  // then closed-and-empty
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumer) {
-  BoundedQueue q(2);
-  std::thread consumer([&] {
-    Job out;
-    EXPECT_FALSE(q.pop(out));  // must return, not hang
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  consumer.join();
+  EXPECT_TRUE(q.tryPop(out));   // queued job still served
+  EXPECT_FALSE(q.tryPop(out));  // then closed-and-empty
 }
 
 TEST(BoundedQueue, DrainReturnsAllPending) {
