@@ -11,9 +11,12 @@
 // picked — the `speculation_dispatched` records carry the chosen
 // backend name in their note, and the acceptance bar for the SIMD
 // backend PR is dispatched >= autovec at every dof x K (>= 1.3x at
-// 100 DOF / K = 64 on AVX2-class hardware).  Three sin/cos rows close
-// the table: one (sin, cos) pair per joint angle through libm, the
-// scalar kin::sinCos, and the dispatched backend's vector instance.
+// 100 DOF / K = 64 on AVX2-class hardware).  The `jt_head` rows time
+// the serial head every Quick-IK iteration runs before its sweep
+// (ik::jtIterationHead: frames, J, J^T e and Eq. 8's alpha — the SPU)
+// at 12, 50 and 100 DOF.  Three sin/cos rows close the table: one
+// (sin, cos) pair per joint angle through libm, the scalar kin::sinCos,
+// and the dispatched backend's vector instance.
 //
 // Usage: batch_fk [--quick] [--json PATH] [--spec-backend NAME]
 //   --quick           fewer repetitions (CI smoke)
@@ -170,6 +173,26 @@ int main(int argc, char** argv) {
                        std::string("backend=") + dispatched});
     std::printf("   %6.2fx\n", scalar_ns / dispatched_ns);
   }
+
+  // The serial head, ns per call, at the task's seed configuration.
+  std::printf("\njt_head ns per call:");
+  for (const std::size_t dof : {std::size_t{12}, std::size_t{50},
+                                std::size_t{100}}) {
+    const auto chain = dadu::kin::makeSerpentine(dof);
+    const auto task = dadu::workload::generateTask(chain, 0);
+    dadu::ik::JtWorkspace ws;
+    const double ns = nsPerOp(
+        [&] {
+          g_sink +=
+              dadu::ik::jtIterationHead(chain, task.seed, task.target, ws)
+                  .alpha_base;
+        },
+        min_seconds);
+    records.push_back({"jt_head", static_cast<int>(dof), 0, ns,
+                       std::string("backend=") + dispatched});
+    std::printf("   %zu DOF %.0f", dof, ns);
+  }
+  std::printf("\n");
 
   // Joint-angle trig, ns per (sin, cos) pair over a 256-lane sweep of
   // angles in [-pi, pi) — the per-lane trig every walk above pays.

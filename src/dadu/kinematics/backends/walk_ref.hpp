@@ -76,9 +76,10 @@ void advanceJoint(linalg::Mat34BatchT<T>& acc, const T* ct, const T* st,
 // and the per-joint batched advance.  T = double reproduces the Mat4
 // path; T = float reproduces the forward_f32 path (candidates stay
 // double, every FK intermediate is float).  `trig` is the per-joint DH
-// constant table BatchedForward::reset() precomputed: 4 entries per
-// joint — cos/sin of the link twist alpha, cos/sin of the fixed theta
-// offset.  `stride` is the padded lane stride of the candidate matrix.
+// constant table (Chain::dhTrig() for f64, BatchedForward::reset()'s
+// float table for f32): 4 entries per joint — cos/sin of the link
+// twist alpha, cos/sin of the fixed theta offset.  `stride` is the
+// padded lane stride of the candidate matrix.
 template <typename T>
 void walkLanes(const Chain& chain, linalg::Mat34BatchT<T>& acc, T* ct, T* st,
                double* cand, std::size_t stride, const T* trig,

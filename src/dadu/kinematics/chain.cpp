@@ -15,6 +15,8 @@ Chain::Chain(std::vector<Joint> joints, std::string name, linalg::Mat4 base)
         !std::isfinite(p.d) || !std::isfinite(p.theta))
       throw std::invalid_argument("Chain '" + name_ + "': non-finite DH row " +
                                   std::to_string(i));
+    dh_trig_.insert(dh_trig_.end(), {std::cos(p.alpha), std::sin(p.alpha),
+                                     std::cos(p.theta), std::sin(p.theta)});
     if (joints_[i].min > joints_[i].max)
       throw std::invalid_argument("Chain '" + name_ +
                                   "': inverted limits at joint " +

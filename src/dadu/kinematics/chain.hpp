@@ -15,7 +15,8 @@ namespace dadu::kin {
 /// An open serial chain of joints with an optional fixed base frame.
 ///
 /// Invariant: after construction the chain has at least one joint and
-/// all DH rows are finite (validated; violations throw).
+/// all DH rows are finite (validated; violations throw).  The base is a
+/// rigid transform: its last row is [0 0 0 1].
 class Chain {
  public:
   Chain() = default;
@@ -27,6 +28,11 @@ class Chain {
   const Joint& joint(std::size_t i) const { return joints_[i]; }
   const linalg::Mat4& base() const { return base_; }
   const std::string& name() const { return name_; }
+
+  /// DH trig table, 4 per joint: cos/sin of the link twist alpha and of
+  /// the fixed theta offset — the libm values dhTransform* compute
+  /// inline, built once for the frame pass and the f64 speculative walk.
+  const double* dhTrig() const { return dh_trig_.data(); }
 
   /// Sum of |a| + |d| over all joints: an upper bound on the distance
   /// from base to end-effector, used by workspace sampling.
@@ -49,6 +55,7 @@ class Chain {
   std::vector<Joint> joints_;
   std::string name_;
   linalg::Mat4 base_ = linalg::Mat4::identity();
+  std::vector<double> dh_trig_;
 };
 
 }  // namespace dadu::kin

@@ -31,8 +31,8 @@ struct DhParam {
 /// FLOP counts in the cycle model (4 trig + 16 mul + 8 add) match it.
 /// The joint-variable trig goes through kin::sinCos, the kernel every
 /// SpecBackend's speculative walk runs, so scalar FK and the batched
-/// walk agree bit-for-bit; the constant link-twist trig stays on libm
-/// like the walk's precomputed per-joint table.
+/// walk agree bit-for-bit; the constant link-twist trig stays on libm,
+/// the same calls Chain::dhTrig()'s precomputed table holds.
 inline linalg::Mat4 dhTransformRevolute(const DhParam& p, double q) {
   double st, ct;
   sinCos(p.theta + q, st, ct);

@@ -22,8 +22,17 @@ linalg::Vec3 endEffectorPosition(const Chain& chain, const linalg::VecX& q);
 
 /// Cumulative frames {0}T_i for i = 1..N (frames[i-1] is the pose of
 /// joint i's distal frame in the base frame).  frames.back() equals
-/// forwardKinematics().  The output vector is reused when its size
-/// already matches (no per-iteration allocation on solver hot paths).
+/// forwardKinematics() bit-for-bit for finite q.  The output vector is
+/// reused when its size already matches (no per-iteration allocation
+/// on solver hot paths).
+///
+/// This is the SPU's frame stage as one affine pass: every joint angle
+/// goes through the dispatched SpecBackend's batched sin/cos (bit-
+/// identical to kin::sinCos), the constant twist trig comes from
+/// Chain::dhTrig(), and only the three affine rows of each frame are
+/// multiplied — per entry in Mat4::operator*'s term order, so each
+/// frame equals the old `t = t * joint.transform(q[i])` product.  The
+/// last row is written as [0 0 0 1].
 void linkFrames(const Chain& chain, const linalg::VecX& q,
                 std::vector<linalg::Mat4>& frames);
 

@@ -111,8 +111,9 @@ class BatchedForward {
 
   /// Fused multi-request sweep: evaluate every group's lanes through
   /// one shared SoA workspace in a single call.  Per-joint constants
-  /// (link-twist trig, DH offsets) come from the table reset()
-  /// precomputed, so no group recomputes them; the walk itself is
+  /// (link-twist trig, DH offsets) come from precomputed tables
+  /// (Chain::dhTrig(), reset()'s f32 one), so no group recomputes
+  /// them; the walk itself is
   /// group-major — each group's accumulator slice stays L1-resident
   /// across the whole chain walk, which measures faster than a
   /// joint-major pass that streams every group's lanes through cache
@@ -158,12 +159,9 @@ class BatchedForward {
   std::vector<double> ct_, st_;  ///< per-lane cos/sin scratch (f64)
   std::vector<float> ctf_, stf_;  ///< per-lane cos/sin scratch (f32)
   std::vector<double> errors_;
-  // Per-joint DH trig constants, 4 per joint (cos/sin of the link
-  // twist alpha, cos/sin of the fixed theta offset), precomputed by
-  // reset() in each datapath's own precision so walks spend their trig
-  // budget on candidates only.  Values match the inline computations
-  // of the scalar chain walks bit-for-bit.
-  std::vector<double> trig_d_;
+  // The f32 walk's Chain::dhTrig() (same layout), precomputed by
+  // reset() in float from the float-narrowed angles, as the f32 scalar
+  // walk computes them.
   std::vector<float> trig_f_;
 };
 

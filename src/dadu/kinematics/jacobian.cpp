@@ -14,16 +14,26 @@ void positionJacobian(const Chain& chain, const linalg::VecX& q,
   linkFrames(chain, q, frames);
   ee = frames.back().position();
 
+  // Column i is z_{i-1} x (ee - p_{i-1}), read straight off the
+  // previous frame (the base for i = 0): its third column is the joint
+  // axis, its fourth the origin.  Same expressions as Vec3::cross.
+  double* j0 = j.rowPtr(0);
+  double* j1 = j.rowPtr(1);
+  double* j2 = j.rowPtr(2);
   for (std::size_t i = 0; i < n; ++i) {
-    // Axis and origin of joint i are those of the *previous* frame
-    // (the joint rotates about z_{i-1}): base frame for i = 0.
-    const linalg::Mat4& prev = i == 0 ? chain.base() : frames[i - 1];
-    const linalg::Vec3 z = prev.rotation().col(2);
+    const auto& prev = (i == 0 ? chain.base() : frames[i - 1]).m;
+    const double zx = prev[0][2], zy = prev[1][2], zz = prev[2][2];
     if (chain.joint(i).type == JointType::kRevolute) {
-      const linalg::Vec3 p = prev.position();
-      j.setCol3(i, z.cross(ee - p));
+      const double dx = ee.x - prev[0][3];
+      const double dy = ee.y - prev[1][3];
+      const double dz = ee.z - prev[2][3];
+      j0[i] = zy * dz - zz * dy;
+      j1[i] = zz * dx - zx * dz;
+      j2[i] = zx * dy - zy * dx;
     } else {
-      j.setCol3(i, z);
+      j0[i] = zx;
+      j1[i] = zy;
+      j2[i] = zz;
     }
   }
 }

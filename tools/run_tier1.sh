@@ -52,7 +52,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 # depend on the host ISA.
 "${build_dir}/tests/kinematics_spec_backend_test"
 for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
-    kinematics_sincos_test solvers_quick_ik_test; do
+    kinematics_sincos_test kinematics_frames_exact_test solvers_quick_ik_test; do
   DADU_SPEC_BACKEND=scalar "${build_dir}/tests/${suite}"
 done
 echo "spec backend parity gate: ok (dispatched + forced-scalar legs)"
